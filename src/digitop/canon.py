@@ -6,7 +6,8 @@ colors are refined until stable; if the partition is not discrete, each
 vertex of the first smallest ambiguous cell is individualized in turn
 and the search recurses.  The returned certificate is the minimum leaf
 encoding over all branches, so equal bytes mean isomorphic graphs and
-vice versa.
+vice versa.  The leaf that gives it also yields a canonical labelling:
+the vertices in the order the certificate encodes them.
 
 Two vertices whose neighborhoods agree outside the pair are swappable
 by an automorphism, so only one of them is branched on.  This keeps
@@ -23,18 +24,17 @@ MAX_LEAVES = 500_000
 
 
 def canonical_form(g) -> bytes:
-    n = g.vertex_count
-    verts = g.sorted_vertices()
-    index = {v: i for i, v in enumerate(verts)}
-    nbr = [0] * n
-    for u, v in g.edges:
-        iu, iv = index[u], index[v]
-        nbr[iu] |= 1 << iv
-        nbr[iv] |= 1 << iu
+    return canonical_labelling(g)[0]
+
+
+def canonical_labelling(g) -> tuple[bytes, list[str]]:
+    """The canonical form and g's labels in the order that form encodes them."""
+    verts, nbr = g.bitsets()
+    n = len(verts)
     adj = [[j for j in range(n) if (nbr[i] >> j) & 1] for i in range(n)]
     degs = [len(a) for a in adj]
 
-    best: bytes | None = None
+    best: tuple[bytes, list[int]] | None = None
     leaves = 0
 
     def refine(colors: list[int]) -> list[int]:
@@ -47,7 +47,7 @@ def canonical_form(g) -> bytes:
                 return colors
             ncolors = len(ranks)
 
-    def encode(colors: list[int]) -> bytes:
+    def encode(colors: list[int]) -> tuple[bytes, list[int]]:
         order = sorted(range(n), key=colors.__getitem__)
         bits = 0
         pos = 0
@@ -57,7 +57,7 @@ def canonical_form(g) -> bytes:
                 if (na >> order[b]) & 1:
                     bits |= 1 << pos
                 pos += 1
-        return bits.to_bytes((pos + 7) // 8 or 1, "big")
+        return bits.to_bytes((pos + 7) // 8 or 1, "big"), order
 
     def target_cell(colors: list[int]) -> list[int]:
         cells: dict[int, list[int]] = {}
@@ -100,7 +100,8 @@ def canonical_form(g) -> bytes:
             search(refine(child))
 
     if n == 0:
-        return b"0:"
+        return b"0:", []
     search(refine(degs))
     assert best is not None
-    return b"%d:%d:" % (n, g.edge_count) + best
+    code, order = best
+    return b"%d:%d:" % (n, g.edge_count) + code, [verts[i] for i in order]

@@ -17,6 +17,7 @@ correct up to that resolution only.
 
 from __future__ import annotations
 
+import ast
 import math
 from dataclasses import dataclass, field
 
@@ -28,11 +29,20 @@ from .graph import Graph
 DEFAULT_CUBE_BUDGET = 200_000
 IMPLICIT_DEFAULT_BOUND = 8.0
 
-_EVAL_NAMES = {
+_FUNCTIONS = {
     "sqrt": np.sqrt, "sin": np.sin, "cos": np.cos, "tan": np.tan,
     "exp": np.exp, "log": np.log, "abs": np.abs, "hypot": np.hypot,
-    "minimum": np.minimum, "maximum": np.maximum, "pi": math.pi, "e": math.e,
+    "minimum": np.minimum, "maximum": np.maximum,
 }
+_CONSTANTS = {"pi": math.pi, "e": math.e}
+_VARIABLES = ("x", "y", "z")
+
+# Every node type a vetted expression may contain; ast.walk also yields
+# the operator and load-context nodes, so they are listed too.
+_SYNTAX = (
+    ast.Expression, ast.Constant, ast.Name, ast.Load, ast.Call, ast.BinOp, ast.UnaryOp,
+    ast.Add, ast.Sub, ast.Mult, ast.Div, ast.Pow, ast.Mod, ast.UAdd, ast.USub,
+)
 
 
 def _check_finite(values, what: str) -> None:
@@ -102,17 +112,42 @@ class ImplicitSurface:
 Shape = Circle | Segment | SphereSurface | CubeSurface | ImplicitSurface
 
 
-def compile_implicit(expression: str, dim: int):
-    """Compile an implicit expression, allowing only x, y, z and math names."""
+def _vet_implicit(expression: str) -> set[str]:
+    """The names an implicit expression reads as values, once its syntax is vetted.
+
+    Only numeric constants, names, the operators + - * / ** % (unary +
+    and - too) and positional calls to the functions in _FUNCTIONS get
+    through; attribute access, subscripts, comprehensions, lambdas and
+    every other construct raise DomainError.
+    """
     try:
-        code = compile(expression, "<shape>", "eval")
-    except SyntaxError as exc:
+        tree = ast.parse(expression, "<shape>", "eval")
+    except (SyntaxError, RecursionError) as exc:
         raise DomainError(f"bad implicit expression: {exc}") from None
-    allowed = set(_EVAL_NAMES) | ({"x", "y"} if dim == 2 else {"x", "y", "z"})
-    stray = set(code.co_names) - allowed
+    nodes = list(ast.walk(tree))
+    callees = {id(node.func) for node in nodes if isinstance(node, ast.Call)}
+    names: set[str] = set()
+    for node in nodes:
+        if not isinstance(node, _SYNTAX):
+            raise DomainError(f"implicit expression may not contain {type(node).__name__}")
+        if isinstance(node, ast.Constant) and type(node.value) not in (int, float):
+            raise DomainError(f"implicit expression may not contain the constant {node.value!r}")
+        if isinstance(node, ast.Call) and not (
+            isinstance(node.func, ast.Name) and node.func.id in _FUNCTIONS
+        ):
+            raise DomainError(f"implicit expression may call only {sorted(_FUNCTIONS)}")
+        if isinstance(node, ast.Name) and id(node) not in callees:
+            names.add(node.id)
+    return names
+
+
+def compile_implicit(expression: str, dim: int):
+    """Compile a vetted implicit expression in the first `dim` of x, y, z, plus pi and e."""
+    names = _vet_implicit(expression)
+    stray = names - set(_CONSTANTS) - set(_VARIABLES[:dim])
     if stray:
         raise DomainError(f"implicit expression uses unknown names: {sorted(stray)}")
-    return code
+    return compile(expression, "<shape>", "eval")
 
 
 @dataclass(frozen=True)
@@ -145,10 +180,6 @@ def _chebyshev_neighbors(c: tuple[int, ...]):
     for cand in deltas:
         if cand != c:
             yield cand
-
-
-def model_graph(model: CubicalModel) -> Graph:
-    return model.graph
 
 
 # -- per-shape cube tests ----------------------------------------------------
@@ -243,10 +274,10 @@ def _implicit_cubes(shape: ImplicitSurface, L: float, depth: int, budget: int):
         )
     axis = np.linspace(lo_idx * L, hi_idx * L, samples)
     grids = np.meshgrid(*([axis] * shape.dim), indexing="ij")
-    env = dict(_EVAL_NAMES)
-    env.update(zip(("x", "y", "z"), grids))
+    env = {**_FUNCTIONS, **_CONSTANTS}
+    env.update(zip(_VARIABLES, grids))
     try:
-        values = eval(code, {"__builtins__": {}}, env)  # names vetted at compile time
+        values = eval(code, {"__builtins__": {}}, env)  # syntax vetted by _vet_implicit
     except Exception as exc:
         raise DomainError(f"implicit expression failed to evaluate: {exc}") from None
     values = np.asarray(values, dtype=float)
@@ -318,11 +349,7 @@ def parse_shape(text: str, *, implicit_bound: float = IMPLICIT_DEFAULT_BOUND) ->
         expr = rest.strip()
         if not expr:
             raise DomainError("implicit shape needs an expression")
-        try:
-            code = compile(expr, "<shape>", "eval")
-        except SyntaxError as exc:
-            raise DomainError(f"bad implicit expression: {exc}") from None
-        dim = 3 if "z" in code.co_names else 2
+        dim = 3 if "z" in _vet_implicit(expr) else 2
         return ImplicitSurface(expr, dim, implicit_bound)
 
     def floats(n: int) -> list[float]:

@@ -87,6 +87,17 @@ class Graph:
     def sorted_edges(self) -> list[tuple[str, str]]:
         return sorted(self._edges)
 
+    def bitsets(self) -> tuple[list[str], list[int]]:
+        """Sorted labels and, for each, the mask of its neighbours' positions in that list."""
+        verts = self.sorted_vertices()
+        index = {v: i for i, v in enumerate(verts)}
+        nbr = [0] * len(verts)
+        for u, v in self._edges:
+            iu, iv = index[u], index[v]
+            nbr[iu] |= 1 << iv
+            nbr[iv] |= 1 << iu
+        return verts, nbr
+
     # -- structural operators ------------------------------------------
 
     def induced(self, keep: Iterable[str]) -> "Graph":

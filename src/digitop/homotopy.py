@@ -9,10 +9,12 @@ simple point is tried first, and on failure the search backtracks over
 every other simple point, so a negative answer is exhaustive, not an
 artifact of greedy ordering.
 
-Verdicts are memoized process-wide, keyed by canonical form.
-Contractibility is isomorphism-invariant and the table is append-only,
-so sharing it across queries is sound; it is what makes repeated
-negative searches over large families affordable.
+Verdicts are memoized process-wide in one table shared with sphere
+recognition in `manifold`, keyed by ("contractible", canonical form)
+or ("sphere", canonical form).  Both verdicts are isomorphism-invariant
+and the table is append-only, so sharing it across queries is sound;
+it is what makes repeated negative searches over large families
+affordable.  `clear_caches()` empties all of it.
 """
 
 from __future__ import annotations
@@ -24,8 +26,9 @@ from .graph import Graph
 
 SIZE_CAP = 25
 
-# canonical form -> contractible?  Shared across queries.
-_VERDICTS: dict[bytes, bool] = {}
+# (question, canonical form) -> verdict, for every question the package
+# memoizes: "contractible" -> bool, "sphere" -> dimension or None.
+_VERDICTS: dict[tuple[str, bytes], bool | int | None] = {}
 
 
 def clear_caches() -> None:
@@ -54,7 +57,7 @@ def _contractible(g: Graph) -> bool:
         return True
     if not g.is_connected():
         return False
-    key = g.canonical_form()
+    key = ("contractible", g.canonical_form())
     hit = _VERDICTS.get(key)
     if hit is not None:
         return hit
@@ -168,7 +171,7 @@ def contractibility_certificate(g: Graph, *, size_cap: int = SIZE_CAP) -> Reduct
 def _deletion_order(g: Graph) -> list[str] | None:
     if g.vertex_count == 1:
         return []
-    key = g.canonical_form()
+    key = ("contractible", g.canonical_form())
     if _VERDICTS.get(key) is False:
         return None
     for v in g.sorted_vertices():

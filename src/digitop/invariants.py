@@ -17,15 +17,7 @@ DEFAULT_CLIQUE_BUDGET = 2_000_000
 
 def _clique_lists(g: Graph, budget: int) -> list[list[tuple[int, ...]]]:
     """All cliques as index tuples, grouped by size, lexicographic within a size."""
-    verts = g.sorted_vertices()
-    index = {v: i for i, v in enumerate(verts)}
-    n = len(verts)
-    nbr = [0] * n
-    for u, v in g.edges:
-        iu, iv = index[u], index[v]
-        nbr[iu] |= 1 << iv
-        nbr[iv] |= 1 << iu
-
+    _, nbr = g.bitsets()
     by_size: list[list[tuple[int, ...]]] = []
     total = 0
 
@@ -45,7 +37,7 @@ def _clique_lists(g: Graph, budget: int) -> list[list[tuple[int, ...]]]:
             # candidates after i that are adjacent to everything in cur
             grow(cur, cand & nbr[i])
 
-    grow((), (1 << n) - 1)
+    grow((), (1 << len(nbr)) - 1)
     return by_size
 
 
@@ -54,14 +46,13 @@ def clique_counts(g: Graph, *, budget: int = DEFAULT_CLIQUE_BUDGET) -> list[int]
     return [len(level) for level in _clique_lists(g, budget)]
 
 
+def _alternating(values) -> int:
+    return sum(v if k % 2 == 0 else -v for k, v in enumerate(values))
+
+
 def euler_characteristic(g: Graph, *, budget: int = DEFAULT_CLIQUE_BUDGET) -> int:
     """Alternating sum of clique counts."""
-    total = 0
-    sign = 1
-    for count in clique_counts(g, budget=budget):
-        total += sign * count
-        sign = -sign
-    return total
+    return _alternating(clique_counts(g, budget=budget))
 
 
 def _boundary_rank(rows: dict[tuple[int, ...], int], cols: list[tuple[int, ...]]) -> int:
@@ -88,21 +79,24 @@ def _boundary_rank(rows: dict[tuple[int, ...], int], cols: list[tuple[int, ...]]
     return rank
 
 
-def betti_numbers(g: Graph, *, budget: int = DEFAULT_CLIQUE_BUDGET) -> list[int]:
-    """Mod-2 Betti numbers of the clique complex, trailing zeros trimmed."""
-    levels = _clique_lists(g, budget)
+def _betti(levels: list[list[tuple[int, ...]]]) -> list[int]:
+    """Mod-2 Betti numbers from cliques grouped by size, trailing zeros trimmed."""
     if not levels:
         return []
-    counts = [len(level) for level in levels]
     ranks = [0]  # rank of the boundary map out of dimension k, k >= 1
     for k in range(1, len(levels)):
         rows = {s: i for i, s in enumerate(levels[k - 1])}
         ranks.append(_boundary_rank(rows, levels[k]))
     ranks.append(0)
-    betti = [counts[k] - ranks[k] - ranks[k + 1] for k in range(len(levels))]
+    betti = [len(levels[k]) - ranks[k] - ranks[k + 1] for k in range(len(levels))]
     while len(betti) > 1 and betti[-1] == 0:
         betti.pop()
     return betti
+
+
+def betti_numbers(g: Graph, *, budget: int = DEFAULT_CLIQUE_BUDGET) -> list[int]:
+    """Mod-2 Betti numbers of the clique complex, trailing zeros trimmed."""
+    return _betti(_clique_lists(g, budget))
 
 
 @dataclass(frozen=True)
@@ -121,9 +115,9 @@ def invariant_report(g: Graph, *, budget: int = DEFAULT_CLIQUE_BUDGET) -> Invari
     """
     levels = _clique_lists(g, budget)
     counts = [len(level) for level in levels]
-    euler = sum(c if k % 2 == 0 else -c for k, c in enumerate(counts))
-    betti = betti_numbers(g, budget=budget)
-    if sum(b if k % 2 == 0 else -b for k, b in enumerate(betti)) != euler:
+    euler = _alternating(counts)
+    betti = _betti(levels)
+    if _alternating(betti) != euler:
         raise AssertionError("Euler characteristic disagrees between cliques and homology")
     return InvariantReport(tuple(counts), euler, tuple(betti))
 

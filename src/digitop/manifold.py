@@ -7,8 +7,10 @@ deletion condition gives an n-manifold.  A disk is a contractible
 graph that decomposes into a spherical boundary, interior points with
 spherical rims, and boundary points whose rims are lower disks.
 
-Sphere verdicts are memoized process-wide by canonical form, like
-contractibility verdicts.
+Sphere verdicts are memoized process-wide in homotopy's verdict table,
+keyed by ("sphere", canonical form), beside the contractibility
+verdicts; `homotopy.clear_caches()`, also importable from here, resets
+both.
 """
 
 from __future__ import annotations
@@ -17,14 +19,23 @@ from dataclasses import dataclass
 
 from .errors import DomainError
 from .graph import Graph
-from .homotopy import SIZE_CAP, _check_cap, _contractible
-
-# canonical form -> sphere dimension, or None when not a sphere
-_SPHERE_DIMS: dict[bytes, int | None] = {}
+from .homotopy import _VERDICTS, SIZE_CAP, _check_cap, _contractible
+from .homotopy import clear_caches  # noqa: F401  re-exported: one reset for every verdict
 
 
-def clear_caches() -> None:
-    _SPHERE_DIMS.clear()
+def _manifold_dim(g: Graph) -> int | None:
+    """n when g is connected and every rim is an (n-1)-sphere, else None."""
+    if not g.is_connected():
+        return None
+    rim_dims = set()
+    for v in g.sorted_vertices():
+        d = _sphere_dim(g.rim(v))
+        if d is None:
+            return None
+        rim_dims.add(d)
+    if len(rim_dims) != 1:
+        return None
+    return rim_dims.pop() + 1
 
 
 def _sphere_dim(g: Graph) -> int | None:
@@ -33,26 +44,14 @@ def _sphere_dim(g: Graph) -> int | None:
         return 0
     if n < 2:
         return None
-    key = g.canonical_form()
-    if key in _SPHERE_DIMS:
-        return _SPHERE_DIMS[key]
-    result: int | None = None
-    if g.is_connected():
-        rim_dims = set()
-        for v in g.sorted_vertices():
-            d = _sphere_dim(g.rim(v))
-            if d is None:
-                rim_dims = None
-                break
-            rim_dims.add(d)
-        if rim_dims is not None and len(rim_dims) == 1:
-            k = rim_dims.pop() + 1
-            for v in g.sorted_vertices():
-                if _contractible(g.remove((v,))):
-                    result = k
-                    break
-    _SPHERE_DIMS[key] = result
-    return result
+    key = ("sphere", g.canonical_form())
+    if key in _VERDICTS:
+        return _VERDICTS[key]
+    k = _manifold_dim(g)
+    if k is not None and not any(_contractible(g.remove((v,))) for v in g.sorted_vertices()):
+        k = None
+    _VERDICTS[key] = k
+    return k
 
 
 def sphere_dimension(g: Graph, *, size_cap: int = SIZE_CAP) -> int | None:
@@ -68,17 +67,7 @@ def is_sphere(g: Graph, *, size_cap: int = SIZE_CAP) -> tuple[bool, int | None]:
 def manifold_dimension(g: Graph, *, size_cap: int = SIZE_CAP) -> int | None:
     """Dimension n >= 1 when connected and every rim is an (n-1)-sphere."""
     _check_cap(g, size_cap)
-    if g.vertex_count == 0 or not g.is_connected():
-        return None
-    rim_dims = set()
-    for v in g.sorted_vertices():
-        d = _sphere_dim(g.rim(v))
-        if d is None:
-            return None
-        rim_dims.add(d)
-    if len(rim_dims) != 1:
-        return None
-    return rim_dims.pop() + 1
+    return _manifold_dim(g)
 
 
 def is_manifold(g: Graph, *, size_cap: int = SIZE_CAP) -> tuple[bool, int | None]:

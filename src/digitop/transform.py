@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .canon import canonical_labelling
 from .errors import DomainError
 from .graph import Graph, check_label, fresh_labels
 from .manifold import Disk
@@ -238,38 +239,16 @@ def separate(m: Graph, s) -> list[frozenset[str]]:
 def propose_isomorphism(g1: Graph, g2: Graph) -> dict[str, str] | None:
     """Some label bijection realizing an isomorphism, or None.
 
-    Backtracking over degree-compatible assignments; meant for the
-    small boundary graphs handed to connected_sum.
+    Pairs the two canonical labellings position by position; equal
+    canonical forms make that pairing an isomorphism.
     """
     if g1.vertex_count != g2.vertex_count or g1.edge_count != g2.edge_count:
         return None
-    if g1.canonical_form() != g2.canonical_form():
+    form1, order1 = canonical_labelling(g1)
+    form2, order2 = canonical_labelling(g2)
+    if form1 != form2:
         return None
-    order = sorted(g1.vertices, key=lambda v: (-g1.degree(v), v))
-    used: set[str] = set()
-    assign: dict[str, str] = {}
-
-    def extend(i: int) -> bool:
-        if i == len(order):
-            return True
-        u = order[i]
-        for w in sorted(g2.vertices):
-            if w in used or g2.degree(w) != g1.degree(u):
-                continue
-            ok = all(
-                g1.has_edge(u, prev) == g2.has_edge(w, assign[prev])
-                for prev in assign
-            )
-            if ok:
-                assign[u] = w
-                used.add(w)
-                if extend(i + 1):
-                    return True
-                del assign[u]
-                used.remove(w)
-        return False
-
-    return dict(assign) if extend(0) else None
+    return dict(zip(order1, order2))
 
 
 def connected_sum(d1: Disk, d2: Disk, boundary_iso: dict[str, str]) -> Graph:

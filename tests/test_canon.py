@@ -6,6 +6,7 @@ import pytest
 from corpus import all_graphs
 from digitop.canon import canonical_form
 from digitop.graph import Graph
+from digitop.transform import propose_isomorphism
 
 
 def relabel(g: Graph, mapping: dict[str, str]) -> Graph:
@@ -53,7 +54,16 @@ def test_agrees_with_brute_force_on_random_pairs():
         shuffled = labels[:]
         rng.shuffle(shuffled)
         h = relabel(h, dict(zip(labels, shuffled)))
-        assert (canonical_form(g) == canonical_form(h)) == brute_isomorphic(g, h)
+        same = brute_isomorphic(g, h)
+        assert (canonical_form(g) == canonical_form(h)) == same
+        mapping = propose_isomorphism(g, h)
+        assert (mapping is not None) == same
+        if mapping is not None:
+            assert set(mapping) == g.vertices and set(mapping.values()) == h.vertices
+            assert all(
+                g.has_edge(u, v) == h.has_edge(mapping[u], mapping[v])
+                for u in g.vertices for v in g.vertices if u != v
+            )
 
 
 def test_regular_graphs_need_individualization():

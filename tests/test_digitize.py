@@ -9,7 +9,6 @@ from digitop.digitize import (
     SphereSurface,
     cube_graph,
     digitize,
-    model_graph,
     parse_shape,
 )
 from digitop.errors import CapacityError, DomainError
@@ -41,7 +40,7 @@ def test_ring_of_cubes_compresses_to_four_cycle():
 def test_point_digitizes_to_single_cube():
     model = digitize(Segment((0.1, 0.1), (0.1, 0.1)), 1.0)
     assert model.cubes == frozenset({(0, 0)})
-    assert model_graph(model).vertex_count == 1
+    assert model.graph.vertex_count == 1
 
 
 def test_segment_is_contractible():
@@ -127,6 +126,26 @@ def test_implicit_expression_safety_and_dim():
         ImplicitSurface("x + unknown_name", 2)
     with pytest.raises(DomainError):
         ImplicitSurface("x", 4)
+    for bad in (
+        "x*x+y*y-4+[t for t in (0,) if t.__class__.__mro__][0]",  # names inside a comprehension
+        "x*x+y*y-4+x.real",
+        "(lambda: x)()",
+        "x*x+y*y-4+(1,)[0]",
+        "sqrt+x",
+        "sqrt(x=1)",
+        "1+" * 5000 + "x",  # nesting beyond the parser's limit
+    ):
+        with pytest.raises(DomainError):
+            ImplicitSurface(bad, 2)
+        with pytest.raises(DomainError):
+            parse_shape("implicit:" + bad)
+    for good in (
+        "x*x + y*y - 9",
+        "(x--1.5)**2/9+(y-0.25)**2/4-1",
+        "hypot(x, y) - minimum(abs(sin(pi*x)), e) % 2 + -sqrt(+y*y)",
+    ):
+        assert ImplicitSurface(good, 2).dim == 2
+    assert parse_shape("implicit:x*x+y*y+z*z-9").dim == 3
 
 
 def test_capacity_budget():
@@ -171,5 +190,4 @@ def test_model_records_parameters():
     assert model.edge_length == 1.0
     assert model.dim == 2
     assert model.graph == cube_graph(model.cubes)
-    assert model_graph(model) == model.graph
     assert isinstance(model.graph, Graph)

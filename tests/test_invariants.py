@@ -1,6 +1,7 @@
 import pytest
 
 from corpus import connected_graphs
+from digitop import invariants
 from digitop.errors import CapacityError, DomainError
 from digitop.gallery import gallery
 from digitop.graph import Graph
@@ -69,6 +70,14 @@ def test_euler_poincare_agreement_on_corpus():
     for g in connected_graphs(6):
         r = invariant_report(g)
         assert r.euler == sum((-1) ** k * b for k, b in enumerate(r.betti))
+
+
+def test_report_enumerates_cliques_once(monkeypatch):
+    calls = []
+    real = invariants._clique_lists
+    monkeypatch.setattr(invariants, "_clique_lists", lambda g, budget: calls.append(g) or real(g, budget))
+    assert invariant_report(gallery("torus16")).betti == (1, 2, 1)
+    assert len(calls) == 1
 
 
 def test_report_round_trip():

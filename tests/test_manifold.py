@@ -1,5 +1,6 @@
 import pytest
 
+from digitop import homotopy, manifold
 from digitop.errors import CapacityError, DomainError
 from digitop.gallery import gallery, gallery_names
 from digitop.graph import Graph
@@ -179,3 +180,15 @@ def test_sphere_deletion_condition_matters():
     g = gallery("torus16")
     assert all(sphere_dimension(g.rim(v)) == 1 for v in g.vertices)
     assert not any(is_contractible(g.remove((v,))) for v in g.vertices)
+
+
+def test_clear_caches_resets_sphere_verdicts(monkeypatch):
+    assert manifold.clear_caches is homotopy.clear_caches
+    g = gallery("s2-min")
+    assert sphere_dimension(g) == 2
+    homotopy.clear_caches()
+    calls = []
+    real = manifold._sphere_dim
+    monkeypatch.setattr(manifold, "_sphere_dim", lambda h: calls.append(h) or real(h))
+    assert sphere_dimension(g) == 2
+    assert len(calls) > 1  # recomputed through the rims, not read back from a cache
