@@ -112,8 +112,8 @@ class ImplicitSurface:
 Shape = Circle | Segment | SphereSurface | CubeSurface | ImplicitSurface
 
 
-def _vet_implicit(expression: str) -> set[str]:
-    """The names an implicit expression reads as values, once its syntax is vetted.
+def _vet_implicit(expression: str) -> tuple[ast.Expression, set[str]]:
+    """The syntax tree of an implicit expression and the names it reads as values.
 
     Only numeric constants, names, the operators + - * / ** % (unary +
     and - too) and positional calls to the functions in _FUNCTIONS get
@@ -138,16 +138,24 @@ def _vet_implicit(expression: str) -> set[str]:
             raise DomainError(f"implicit expression may call only {sorted(_FUNCTIONS)}")
         if isinstance(node, ast.Name) and id(node) not in callees:
             names.add(node.id)
-    return names
+    return tree, names
 
 
 def compile_implicit(expression: str, dim: int):
     """Compile a vetted implicit expression in the first `dim` of x, y, z, plus pi and e."""
-    names = _vet_implicit(expression)
+    tree, names = _vet_implicit(expression)
     stray = names - set(_CONSTANTS) - set(_VARIABLES[:dim])
     if stray:
         raise DomainError(f"implicit expression uses unknown names: {sorted(stray)}")
-    return compile(expression, "<shape>", "eval")
+    # Integer constants become floats, so a power such as 10**10**10
+    # overflows into an error instead of building a huge integer.
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Constant) and type(node.value) is int:
+            try:
+                node.value = float(node.value)
+            except OverflowError:
+                raise DomainError("implicit expression constant too large for a float") from None
+    return compile(tree, "<shape>", "eval")
 
 
 @dataclass(frozen=True)
@@ -349,7 +357,7 @@ def parse_shape(text: str, *, implicit_bound: float = IMPLICIT_DEFAULT_BOUND) ->
         expr = rest.strip()
         if not expr:
             raise DomainError("implicit shape needs an expression")
-        dim = 3 if "z" in _vet_implicit(expr) else 2
+        dim = 3 if "z" in _vet_implicit(expr)[1] else 2
         return ImplicitSurface(expr, dim, implicit_bound)
 
     def floats(n: int) -> list[float]:

@@ -7,10 +7,18 @@ fresh point whose neighbors are everything either endpoint saw;
 splitting is the exact inverse, parameterized by how the merged
 point's neighbors are dealt back out.  Compression contracts the
 lexicographically smallest simple pair until none remains.
+
+Every move runs on a mutable adjacency (a dict of neighbor sets).
+Compression keeps one such adjacency and, after each merge, rechecks
+only the edges with an endpoint in the merged point's closed
+neighborhood: no other edge sees a change in its endpoints'
+neighborhoods or in the edges among them.  A log replays or inverts
+on one working adjacency too, and builds a single graph at the end.
 """
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 
 from .canon import canonical_labelling
@@ -19,13 +27,29 @@ from .graph import Graph, check_label, fresh_labels
 from .manifold import Disk
 
 
+def _adjacency(g: Graph) -> dict[str, set[str]]:
+    return {v: set(g.neighbors(v)) for v in g.vertices}
+
+
+def _graph(adj: dict[str, set[str]]) -> Graph:
+    return Graph(adj, ((u, v) for u, ns in adj.items() for v in ns if u < v))
+
+
+def _is_simple(nbrs, x: str, y: str) -> bool:
+    """Simple-pair test for adjacent x and y, with `nbrs` looking up a neighbor set."""
+    nx, ny = nbrs(x), nbrs(y)
+    only_y = ny.difference(nx, (x,))
+    for a in nx.difference(ny, (y,)):
+        if not nbrs(a).isdisjoint(only_y):
+            return False
+    return True
+
+
 def is_simple_pair(g: Graph, x: str, y: str) -> bool:
     """True iff x and y are adjacent and share no induced 4-cycle through the edge."""
     if not g.has_edge(x, y):
         raise DomainError(f"no edge between {x!r} and {y!r}")
-    only_x = g.neighbors(x) - g.neighbors(y) - {y}
-    only_y = g.neighbors(y) - g.neighbors(x) - {x}
-    return not any(g.has_edge(a, b) for a in only_x for b in only_y)
+    return _is_simple(g.neighbors, x, y)
 
 
 def find_simple_pairs(g: Graph) -> list[tuple[str, str]]:
@@ -53,16 +77,17 @@ class TransformStep:
     shared: frozenset[str] | None = None
 
     def apply(self, g: Graph) -> Graph:
+        adj = _adjacency(g)
+        self._apply(adj)
+        return _graph(adj)
+
+    def _apply(self, adj: dict[str, set[str]]) -> "TransformStep":
         if self.kind == "contract":
-            out, _ = contract_pair(g, self.x, self.y, z_label=self.z)
-            return out
+            return _contract(adj, self.x, self.y, self.z)
         if self.kind == "split":
             if self.x_only is None or self.y_only is None or self.shared is None:
                 raise DomainError("split step is missing its neighbor partition")
-            out, _ = split_point(
-                g, self.z, self.x_only, self.y_only, self.shared, labels=(self.x, self.y)
-            )
-            return out
+            return _split(adj, self.z, self.x_only, self.y_only, self.shared, (self.x, self.y))
         raise DomainError(f"unknown transform step kind {self.kind!r}")
 
     def inverse(self) -> "TransformStep":
@@ -72,27 +97,76 @@ class TransformStep:
         return TransformStep(kind, self.x, self.y, self.z, self.x_only, self.y_only, self.shared)
 
 
+def _contract(adj: dict[str, set[str]], x: str, y: str, z_label: str | None) -> TransformStep:
+    """Merge the simple pair x, y of `adj` in place into one fresh point."""
+    if y not in adj.get(x, ()):
+        raise DomainError(f"no edge between {x!r} and {y!r}")
+    if not _is_simple(adj.__getitem__, x, y):
+        raise DomainError(f"({x!r}, {y!r}) is not a simple pair")
+    if z_label is None:
+        z = fresh_labels(adj, 1)[0]
+    else:
+        z = check_label(z_label)
+        if z in adj:
+            raise DomainError(f"label {z!r} is already a vertex")
+    ox, oy = adj.pop(x), adj.pop(y)
+    merged = (ox | oy) - {x, y}
+    for w in merged:
+        ns = adj[w]
+        ns.discard(x)
+        ns.discard(y)
+        ns.add(z)
+    adj[z] = merged
+    return TransformStep(
+        "contract", x, y, z, frozenset(ox - oy - {y}), frozenset(oy - ox - {x}), frozenset(ox & oy)
+    )
+
+
 def contract_pair(
     g: Graph, x: str, y: str, z_label: str | None = None
 ) -> tuple[Graph, TransformStep]:
     """Merge a simple pair into one fresh point adjacent to both old neighborhoods."""
-    if not is_simple_pair(g, x, y):
-        raise DomainError(f"({x!r}, {y!r}) is not a simple pair")
-    if z_label is None:
-        z = fresh_labels(g.vertices, 1)[0]
+    adj = _adjacency(g)
+    step = _contract(adj, x, y, z_label)
+    return _graph(adj), step
+
+
+def _split(
+    adj: dict[str, set[str]], z: str, x_only, y_only, shared, labels: tuple[str, str] | None
+) -> TransformStep:
+    """Replace the point z of `adj` in place by an adjacent simple pair."""
+    x_only, y_only, shared = frozenset(x_only), frozenset(y_only), frozenset(shared)
+    try:
+        nbrs = adj[z]
+    except KeyError:
+        raise DomainError(f"unknown vertex {z!r}") from None
+    if x_only | y_only | shared != nbrs or len(x_only) + len(y_only) + len(shared) != len(nbrs):
+        raise DomainError("x_only, y_only, shared must partition the neighbors of z")
+    for a in x_only:
+        for b in y_only:
+            if b in adj[a]:
+                raise DomainError(
+                    f"edge between exclusive parts ({a!r}, {b!r}); split would not be simple"
+                )
+    if labels is None:
+        x, y = fresh_labels(adj, 2)
     else:
-        z = check_label(z_label)
-        if z in g:
-            raise DomainError(f"label {z!r} is already a vertex")
-    ox, oy = g.neighbors(x), g.neighbors(y)
-    x_only = ox - oy - {y}
-    y_only = oy - ox - {x}
-    shared = ox & oy
-    vertices = (g.vertices - {x, y}) | {z}
-    edges = [(u, v) for u, v in g.edges if x not in (u, v) and y not in (u, v)]
-    edges.extend((z, w) for w in x_only | y_only | shared)
-    step = TransformStep("contract", x, y, z, x_only, y_only, shared)
-    return Graph(vertices, edges), step
+        x, y = (check_label(t) for t in labels)
+        if x == y:
+            raise DomainError("split labels must differ")
+        for t in (x, y):
+            if t in adj:
+                raise DomainError(f"label {t!r} is already a vertex")
+    del adj[z]
+    for w in nbrs:
+        adj[w].discard(z)
+    adj[x] = set(x_only | shared) | {y}
+    adj[y] = set(y_only | shared) | {x}
+    for w in x_only | shared:
+        adj[w].add(x)
+    for w in y_only | shared:
+        adj[w].add(y)
+    return TransformStep("split", x, y, z, x_only, y_only, shared)
 
 
 def split_point(
@@ -109,32 +183,9 @@ def split_point(
     between the x-only and y-only parts (otherwise the result would not
     be a simple pair and the move would not be reversible).
     """
-    x_only, y_only, shared = frozenset(x_only), frozenset(y_only), frozenset(shared)
-    nbrs = g.neighbors(z)
-    if x_only | y_only | shared != nbrs or len(x_only) + len(y_only) + len(shared) != len(nbrs):
-        raise DomainError("x_only, y_only, shared must partition the neighbors of z")
-    for a in x_only:
-        for b in y_only:
-            if g.has_edge(a, b):
-                raise DomainError(
-                    f"edge between exclusive parts ({a!r}, {b!r}); split would not be simple"
-                )
-    if labels is None:
-        x, y = fresh_labels(g.vertices, 2)
-    else:
-        x, y = (check_label(t) for t in labels)
-        if x == y:
-            raise DomainError("split labels must differ")
-        for t in (x, y):
-            if t in g:
-                raise DomainError(f"label {t!r} is already a vertex")
-    vertices = (g.vertices - {z}) | {x, y}
-    edges = [(u, v) for u, v in g.edges if z not in (u, v)]
-    edges.append((x, y))
-    edges.extend((x, w) for w in x_only | shared)
-    edges.extend((y, w) for w in y_only | shared)
-    step = TransformStep("split", x, y, z, x_only, y_only, shared)
-    return Graph(vertices, edges), step
+    adj = _adjacency(g)
+    step = _split(adj, z, x_only, y_only, shared, labels)
+    return _graph(adj), step
 
 
 @dataclass(frozen=True)
@@ -144,17 +195,21 @@ class TransformLog:
     steps: tuple[TransformStep, ...]
 
     def replay(self, g: Graph) -> Graph:
-        cur = g
+        adj = _adjacency(g)
         for step in self.steps:
-            cur = step.apply(cur)
-        return cur
+            step._apply(adj)
+        return _graph(adj)
 
     def invert(self, g: Graph) -> Graph:
         """Undo the whole log starting from its final graph."""
-        cur = g
+        adj = _adjacency(g)
         for step in reversed(self.steps):
-            cur = step.inverse().apply(cur)
-        return cur
+            step.inverse()._apply(adj)
+        return _graph(adj)
+
+
+def _edge(u: str, v: str) -> tuple[str, str]:
+    return (u, v) if u < v else (v, u)
 
 
 def compress(g: Graph) -> tuple[Graph, TransformLog]:
@@ -162,16 +217,32 @@ def compress(g: Graph) -> tuple[Graph, TransformLog]:
 
     The result has no simple pairs and the same homotopy type; the log
     replays the exact contraction sequence, fresh labels included.
+    `live` holds the edges that are simple now; the heap holds each of
+    them at least once, so the first live edge popped is the smallest.
     """
-    cur = g
+    adj = _adjacency(g)
+    nbrs = adj.__getitem__
+    live = {e for e in g.edges if _is_simple(nbrs, *e)}
+    heap = sorted(live)
     steps: list[TransformStep] = []
-    while True:
-        pairs = find_simple_pairs(cur)
-        if not pairs:
-            return cur, TransformLog(tuple(steps))
-        x, y = pairs[0]
-        cur, step = contract_pair(cur, x, y)
+    while heap:
+        x, y = heapq.heappop(heap)
+        if (x, y) not in live:
+            continue
+        step = _contract(adj, x, y, None)
         steps.append(step)
+        live.difference_update(_edge(x, w) for w in step.x_only | step.shared | {y})
+        live.difference_update(_edge(y, w) for w in step.y_only | step.shared)
+        ball = adj[step.z] | {step.z}
+        for e in {_edge(a, b) for a in ball for b in adj[a]}:
+            if _is_simple(nbrs, *e):
+                if e not in live:
+                    live.add(e)
+                    heapq.heappush(heap, e)
+            else:
+                live.discard(e)
+    # a fixpoint comes back as the same object, with its cached canonical form
+    return (_graph(adj) if steps else g), TransformLog(tuple(steps))
 
 
 def _csv(items: frozenset[str]) -> str:

@@ -148,6 +148,17 @@ def test_implicit_expression_safety_and_dim():
     assert parse_shape("implicit:x*x+y*y+z*z-9").dim == 3
 
 
+def test_implicit_powers_overflow_instead_of_growing_integers():
+    # evaluated on integers, this would build a ~33-billion-bit number
+    with pytest.raises(DomainError):
+        digitize(ImplicitSurface("x + 10**10**10", 2), 1.0)
+    with pytest.raises(DomainError):
+        ImplicitSurface("x + 1" + "0" * 400, 2)  # no float holds it
+    assert digitize(ImplicitSurface("x*x + y*y - 3**2", 2), 1.0).cubes == (
+        digitize(Circle((0.0, 0.0), 3.0), 1.0).cubes
+    )
+
+
 def test_capacity_budget():
     with pytest.raises(CapacityError):
         digitize(Circle((0.0, 0.0), 3.0), 1.0, max_cubes=5)

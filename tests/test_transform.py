@@ -4,8 +4,9 @@ from itertools import combinations
 import pytest
 
 from corpus import connected_graphs, has_induced_c4_through
+from digitop.digitize import Circle, CubeSurface, SphereSurface, digitize
 from digitop.errors import DomainError
-from digitop.gallery import gallery
+from digitop.gallery import gallery, gallery_names
 from digitop.graph import Graph
 from digitop.manifold import is_disk, minimal_sphere, sphere_dimension
 from digitop.transform import (
@@ -156,6 +157,70 @@ def test_compress_idempotent_and_fixpoints():
         assert comp == g and log.steps == ()
     comp, _ = compress(gallery("disk2"))
     assert comp.vertex_count == 1
+
+
+def reference_compress(g: Graph) -> tuple[Graph, str]:
+    """Compression restated plainly: rescan every edge, contract the smallest simple one.
+
+    Returns the final graph and the log text; the fresh point is the
+    smallest z<k> that is not a vertex while the pair is still present.
+    """
+    adj = {v: set(g.neighbors(v)) for v in g.vertices}
+    lines = []
+    while True:
+        simple = [
+            (u, v)
+            for u in sorted(adj)
+            for v in sorted(adj[u])
+            if u < v
+            and not any(
+                b in adj[a]
+                for a in adj[u] - adj[v] - {v}
+                for b in adj[v] - adj[u] - {u}
+            )
+        ]
+        if not simple:
+            break
+        x, y = simple[0]
+        k = 0
+        while f"z{k}" in adj:
+            k += 1
+        z = f"z{k}"
+        merged = (adj.pop(x) | adj.pop(y)) - {x, y}
+        for w in merged:
+            adj[w] -= {x, y}
+            adj[w].add(z)
+        adj[z] = merged
+        lines.append(f"F {x} {y} -> {z}\n")
+    return Graph(adj, [(u, v) for u in adj for v in adj[u] if u < v]), "".join(lines)
+
+
+def equivalence_cases():
+    for g in connected_graphs(7):
+        yield g
+    for name in gallery_names():
+        yield gallery(name)
+    for offset in ((0.23, 0.31, 0.17), (0.61, 0.05, 0.42)):
+        yield digitize(Circle(offset[:2], 3.0), 0.5).graph
+        yield digitize(SphereSurface(offset, 2.0), 1.0).graph
+        yield digitize(CubeSurface(offset, 2.0), 1.0).graph
+
+
+def test_compress_matches_plain_reference():
+    reissued = 0
+    for g in equivalence_cases():
+        comp, log = compress(g)
+        ref, ref_text = reference_compress(g)
+        assert comp == ref
+        assert format_log(log) == ref_text
+        assert log.replay(g) == comp
+        assert log.invert(comp) == g
+        # a point merged away frees its z<k> label for a later step
+        freed = set()
+        for step in log.steps:
+            reissued += step.z in freed
+            freed |= {step.x, step.y}
+    assert reissued
 
 
 def test_log_text_round_trip():
