@@ -9,7 +9,7 @@ edges short of building a fresh graph explicitly.
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+from collections.abc import Container, Iterable
 
 from .errors import DomainError
 
@@ -199,15 +199,19 @@ class Graph:
 
 
 def fresh_labels(taken: Iterable[str], count: int, prefix: str = "z") -> list[str]:
-    """First `count` labels of the form prefix0, prefix1, ... not already taken."""
-    taken = set(taken)
+    """First `count` labels of the form prefix0, prefix1, ... not already taken.
+
+    A container such as a set or an adjacency dict is probed in place,
+    not copied; the candidates are distinct, so only `taken` can clash.
+    """
+    if not isinstance(taken, Container):
+        taken = set(taken)
     out: list[str] = []
     k = 0
     while len(out) < count:
         cand = f"{prefix}{k}"
         if cand not in taken:
             out.append(cand)
-            taken.add(cand)
         k += 1
     return out
 

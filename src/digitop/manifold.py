@@ -7,6 +7,16 @@ deletion condition gives an n-manifold.  A disk is a contractible
 graph that decomposes into a spherical boundary, interior points with
 spherical rims, and boundary points whose rims are lower disks.
 
+Before its point-deletion loop, sphere recognition checks the homology
+guard of `homotopy`: once every rim is a (k-1)-sphere, a k-sphere's
+clique complex must have the mod-2 Betti numbers of the k-sphere,
+(1, 0, ..., 0, 1).  Cover the complex by those of g - v and ball(v),
+which meet in that of rim(v): the first is contractible by definition
+and the second is a cone, so Mayer-Vietoris shifts the rim's reduced
+homology, which by induction is the (k-1)-sphere's, up by one.  A graph
+with other Betti numbers is rejected without the loop; one with more
+than `homotopy.GUARD_CLIQUES` cliques runs the loop as before.
+
 Sphere verdicts are memoized process-wide in homotopy's verdict table,
 keyed by ("sphere", canonical form), beside the contractibility
 verdicts; `homotopy.clear_caches()`, also importable from here, resets
@@ -19,7 +29,7 @@ from dataclasses import dataclass
 
 from .errors import DomainError
 from .graph import Graph
-from .homotopy import _VERDICTS, SIZE_CAP, _check_cap, _contractible
+from .homotopy import _VERDICTS, SIZE_CAP, _check_cap, _contractible, _homology_matches
 from .homotopy import clear_caches  # noqa: F401  re-exported: one reset for every verdict
 
 
@@ -48,7 +58,10 @@ def _sphere_dim(g: Graph) -> int | None:
     if key in _VERDICTS:
         return _VERDICTS[key]
     k = _manifold_dim(g)
-    if k is not None and not any(_contractible(g.remove((v,))) for v in g.sorted_vertices()):
+    if k is not None and (
+        _homology_matches(g, (1,) + (0,) * (k - 1) + (1,)) is False
+        or not any(_contractible(g.remove((v,))) for v in g.sorted_vertices())
+    ):
         k = None
     _VERDICTS[key] = k
     return k

@@ -83,3 +83,59 @@ def has_induced_c4_through(g: Graph, x: str, y: str) -> bool:
                 continue
             return True
     return False
+
+
+# -- unpruned search references ---------------------------------------------
+#
+# The library's searches with every shortcut taken out (no cone test, no
+# homology guard): depth-first over points in ascending label order,
+# memoized by canonical form in a table of their own.
+
+_PLAIN: dict[tuple[str, bytes], bool | int | None] = {}
+
+
+def plain_contractible(g: Graph) -> bool:
+    """Does some order of simple point deletions reach a single vertex?"""
+    if g.vertex_count == 0 or not g.is_connected():
+        return False
+    if g.vertex_count == 1:
+        return True
+    key = ("contractible", g.canonical_form())
+    if key not in _PLAIN:
+        _PLAIN[key] = any(
+            plain_contractible(g.rim(v)) and plain_contractible(g.remove((v,)))
+            for v in g.sorted_vertices()
+        )
+    return _PLAIN[key]
+
+
+def plain_deletion_order(g: Graph) -> list[str] | None:
+    """The first deletion order the depth-first search reaches a single vertex by."""
+    if not plain_contractible(g):
+        return None
+    if g.vertex_count == 1:
+        return []
+    for v in g.sorted_vertices():
+        if plain_contractible(g.rim(v)):
+            rest = plain_deletion_order(g.remove((v,)))
+            if rest is not None:
+                return [v] + rest
+    return None
+
+
+def plain_sphere_dim(g: Graph) -> int | None:
+    """n when every rim is an (n-1)-sphere and deleting some point leaves g contractible."""
+    if g.vertex_count == 2 and g.edge_count == 0:
+        return 0
+    if g.vertex_count < 2 or not g.is_connected():
+        return None
+    key = ("sphere", g.canonical_form())
+    if key not in _PLAIN:
+        rim_dims = {plain_sphere_dim(g.rim(v)) for v in g.sorted_vertices()}
+        k = None
+        if len(rim_dims) == 1 and None not in rim_dims:
+            k = rim_dims.pop() + 1
+            if not any(plain_contractible(g.remove((v,))) for v in g.sorted_vertices()):
+                k = None
+        _PLAIN[key] = k
+    return _PLAIN[key]

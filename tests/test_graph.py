@@ -116,6 +116,10 @@ def test_fresh_labels():
     labels = fresh_labels({"z0", "z2", "a"}, 2)
     assert labels == ["z1", "z3"]
     assert fresh_labels(set(), 3, prefix="w") == ["w0", "w1", "w2"]
+    adjacency = {"z0": {"z1"}, "z1": {"z0"}}
+    assert fresh_labels(adjacency, 2) == ["z2", "z3"]
+    assert adjacency == {"z0": {"z1"}, "z1": {"z0"}}  # probed, not extended
+    assert fresh_labels((t for t in ("z1",)), 2) == ["z0", "z2"]  # a one-shot iterable
 
 
 def test_parse_format_round_trip():

@@ -1,10 +1,22 @@
+import random
+import time
+
 import pytest
 
-from corpus import all_graphs, brute_contractible, connected_graphs
+from corpus import (
+    all_graphs,
+    brute_contractible,
+    connected_graphs,
+    plain_contractible,
+    plain_deletion_order,
+    plain_sphere_dim,
+)
+from digitop import homotopy
 from digitop.errors import CapacityError, DomainError
 from digitop.graph import Graph
 from digitop.homotopy import (
     SIZE_CAP,
+    _homology_matches,
     contractibility_certificate,
     format_certificate,
     is_contractible,
@@ -13,6 +25,8 @@ from digitop.homotopy import (
     parse_certificate,
     reduce_to_subgraph,
 )
+from digitop.invariants import betti_numbers
+from digitop.manifold import minimal_sphere, sphere_dimension, suspend
 
 
 def cycle(n: int) -> Graph:
@@ -131,3 +145,102 @@ def test_size_cap_raises_capacity_error():
     with pytest.raises(CapacityError):
         is_contractible(big)
     assert is_contractible(big, size_cap=SIZE_CAP + 1) is False
+
+
+# -- the cone shortcut and the homology guard against the unpruned search ----
+
+
+def gnp(rng: random.Random, n: int, p: float) -> Graph:
+    labels = [f"v{i:02d}" for i in range(n)]
+    pairs = [(a, b) for i, a in enumerate(labels) for b in labels[i + 1:]]
+    return Graph(labels, [e for e in pairs if rng.random() < p])
+
+
+def random_family() -> list[Graph]:
+    """Seeded G(9..11, p) graphs, each with its cone and its suspension."""
+    rng = random.Random(2014)
+    out = []
+    for n in (9, 10, 11):
+        for p in (0.3, 0.45, 0.6):
+            for _ in range(3):
+                g = gnp(rng, n, p)
+                out += [g, g.join(Graph(("apex",), ())), suspend(g)]
+    return out
+
+
+def assert_agrees_with_plain(g: Graph) -> None:
+    where = g.sorted_edges()
+    assert is_contractible(g) == plain_contractible(g), where
+    assert sphere_dimension(g) == plain_sphere_dim(g), where
+    order = plain_deletion_order(g)
+    cert = contractibility_certificate(g)
+    if order is None:
+        assert cert is None, where
+    else:
+        assert format_certificate(cert) == "".join(f"dp {v}\n" for v in order), where
+
+
+def test_shortcuts_agree_with_plain_search_on_seven_vertex_corpus():
+    graphs = connected_graphs(7)
+    assert len(graphs) == 996
+    for g in graphs:
+        assert_agrees_with_plain(g)
+
+
+def test_shortcuts_agree_with_plain_search_on_random_cones_and_suspensions():
+    family = random_family()
+    assert len(family) == 81
+    spheres = [suspend(cycle(n)) for n in range(4, 9)] + [suspend(suspend(cycle(5)))]
+    for g in family + spheres:
+        assert_agrees_with_plain(g)
+    assert [sphere_dimension(g) for g in spheres] == [2, 2, 2, 2, 2, 3]
+
+
+def test_guard_agrees_with_betti_numbers():
+    for g in connected_graphs(6):
+        betti = tuple(betti_numbers(g))
+        assert _homology_matches(g, betti) is True
+        assert _homology_matches(g, (1,)) is (betti == (1,))
+
+
+def test_search_without_the_guard_when_the_clique_bound_overflows(monkeypatch):
+    monkeypatch.setattr(homotopy, "GUARD_CLIQUES", 1)
+    homotopy.clear_caches()
+    try:
+        assert _homology_matches(complete(2), (1,)) is None
+        for g in connected_graphs(6):
+            assert_agrees_with_plain(g)
+    finally:
+        homotopy.clear_caches()
+
+
+def test_complete_graphs_are_contractible_at_every_size_up_to_the_cap():
+    start = time.perf_counter()
+    for n in range(2, SIZE_CAP + 1):
+        assert is_contractible(complete(n))
+    big = complete(SIZE_CAP)
+    assert contractibility_certificate(big).replay(big).vertex_count == 1
+    assert time.perf_counter() - start < 10.0
+
+
+def test_minimal_spheres_are_rejected_before_their_canonical_form():
+    start = time.perf_counter()
+    for n in range(5, 9):
+        sphere = minimal_sphere(n)
+        assert not is_contractible(sphere)
+        assert contractibility_certificate(sphere) is None
+        assert reduce_to_subgraph(sphere, {"x0"}) is None
+    assert time.perf_counter() - start < 10.0
+
+
+def test_random_graphs_up_to_the_cap_finish():
+    rng = random.Random(20)
+    start = time.perf_counter()
+    for n in (20, 25):
+        for p in (0.3, 0.4, 0.5, 0.6):
+            for _ in range(3):
+                g = gnp(rng, n, p)
+                verdict = is_contractible(g, size_cap=25)
+                if verdict:
+                    assert betti_numbers(g) == [1]
+    assert time.perf_counter() - start < 20.0
