@@ -5,11 +5,16 @@ hashing are label-exact; isomorphism queries go through canonical
 forms.  Every operator returns a new graph, and subgraphs are always
 induced: there is no way to keep a vertex while dropping one of its
 edges short of building a fresh graph explicitly.
+
+The exponential layers build no graphs: an induced subgraph is an `int`
+mask over one graph's `bitsets()`, whose indices follow sorted label
+order.  A rim is `nbr[i] & mask`, deleting a point clears its bit, and
+`components` is the one connectivity routine, for masks and graphs.
 """
 
 from __future__ import annotations
 
-from collections.abc import Container, Iterable
+from collections.abc import Container, Iterable, Iterator
 
 from .errors import DomainError
 
@@ -148,26 +153,12 @@ class Graph:
 
     def connected_components(self) -> list[frozenset[str]]:
         """Vertex partition into components, ordered by smallest label."""
-        seen: set[str] = set()
-        parts: list[frozenset[str]] = []
-        for start in self.sorted_vertices():
-            if start in seen:
-                continue
-            stack = [start]
-            comp = {start}
-            while stack:
-                for w in self._adj[stack.pop()]:
-                    if w not in comp:
-                        comp.add(w)
-                        stack.append(w)
-            seen |= comp
-            parts.append(frozenset(comp))
-        return parts
+        verts, nbr = self.bitsets()
+        return [frozenset(verts[i] for i in bits(c)) for c in components(nbr, (1 << len(verts)) - 1)]
 
     def is_connected(self) -> bool:
-        if not self._adj:
-            return False
-        return len(self.connected_components()) == 1
+        _, nbr = self.bitsets()
+        return connected(nbr, (1 << len(nbr)) - 1)
 
     # -- identity -------------------------------------------------------
 
@@ -176,7 +167,8 @@ class Graph:
         if self._canon is None:
             from .canon import canonical_form
 
-            self._canon = canonical_form(self)
+            _, nbr = self.bitsets()
+            self._canon = canonical_form(nbr, (1 << len(nbr)) - 1)
         return self._canon
 
     def is_isomorphic_to(self, other: "Graph") -> bool:
@@ -196,6 +188,37 @@ class Graph:
 
     def __repr__(self) -> str:
         return f"Graph({self.vertex_count} vertices, {self.edge_count} edges)"
+
+
+def bits(mask: int) -> list[int]:
+    """Indices of the set bits of mask, ascending."""
+    return [i for i in range(mask.bit_length()) if (mask >> i) & 1]
+
+
+def mask_of(verts: list[str], labels: Iterable[str]) -> int:
+    """Mask of the labels' positions in the sorted label list verts."""
+    at = {v: 1 << i for i, v in enumerate(verts)}
+    try:
+        return sum(at[v] for v in set(labels))
+    except KeyError as exc:
+        raise DomainError(f"unknown vertex {exc.args[0]!r}") from None
+
+
+def components(nbr: list[int], mask: int) -> Iterator[int]:
+    """Masks of the components of the subgraph induced on mask, by smallest index."""
+    while mask:
+        comp, todo = 0, mask & -mask
+        while todo:
+            low = todo & -todo
+            comp |= low
+            todo = (todo | nbr[low.bit_length() - 1]) & mask & ~comp
+        yield comp
+        mask ^= comp
+
+
+def connected(nbr: list[int], mask: int) -> bool:
+    """Whether the subgraph induced on mask is nonempty and connected."""
+    return next(components(nbr, mask), 0) == mask != 0
 
 
 def fresh_labels(taken: Iterable[str], count: int, prefix: str = "z") -> list[str]:

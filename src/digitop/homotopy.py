@@ -26,12 +26,12 @@ the search does not check it again.  The guard enumerates at most
 searched exactly as without it, so the guard never raises and never
 decides what it has not checked.
 
-Verdicts are memoized process-wide in one table shared with sphere
-recognition in `manifold`, keyed by ("contractible", canonical form)
-or ("sphere", canonical form).  Both verdicts are isomorphism-invariant
-and the table is append-only, so sharing it across queries is sound;
-it is what makes repeated negative searches over large families
-affordable.  `clear_caches()` empties all of it.
+Each public entry converts its graph once; the searches recurse on
+vertex masks (see `graph`).  Verdicts are memoized process-wide in one
+table shared with `manifold`, keyed by question and the canonical form
+of the node's mask.  They are isomorphism-invariant and the table is
+append-only, so sharing it across queries is sound; it is what makes
+repeated negative searches affordable.  `clear_caches()` empties it.
 """
 
 from __future__ import annotations
@@ -39,8 +39,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import invariants
+from .canon import canonical_form
 from .errors import CapacityError, DomainError
-from .graph import Graph
+from .graph import Graph, bits, connected, mask_of
 
 SIZE_CAP = 25
 
@@ -52,7 +53,7 @@ SIZE_CAP = 25
 GUARD_CLIQUES = 50_000
 
 # (question, canonical form) -> verdict, for every question the package
-# memoizes: "contractible" -> bool, "sphere" -> dimension or None.
+# memoizes: "contractible" -> bool, "sphere" and "manifold" -> dimension or None.
 _VERDICTS: dict[tuple[str, bytes], bool | int | None] = {}
 
 
@@ -60,23 +61,23 @@ def clear_caches() -> None:
     _VERDICTS.clear()
 
 
-def _check_cap(g: Graph, size_cap: int) -> None:
-    if g.vertex_count > size_cap:
+def _check_cap(n: int, size_cap: int) -> None:
+    if n > size_cap:
         raise CapacityError(
-            f"graph has {g.vertex_count} vertices, above the cap of {size_cap};"
+            f"graph has {n} vertices, above the cap of {size_cap};"
             " raise size_cap or compress first"
         )
 
 
-def _homology_matches(g: Graph, betti: tuple[int, ...]) -> bool | None:
-    """Whether g's clique complex has these mod-2 Betti numbers (trailing zeros trimmed).
+def _homology_matches(nbr: list[int], mask: int, betti: tuple[int, ...]) -> bool | None:
+    """Whether the clique complex on mask has these mod-2 Betti numbers (trailing zeros trimmed).
 
-    None when g has more than GUARD_CLIQUES cliques, so nothing is known.
+    None when it has more than GUARD_CLIQUES cliques, so nothing is known.
     The Euler characteristic is compared first; the ranks are computed
     only when it agrees.
     """
     try:
-        levels = invariants._clique_lists(g, GUARD_CLIQUES)
+        levels = invariants._clique_lists(nbr, mask, GUARD_CLIQUES)
     except CapacityError:
         return None
     counts = [len(level) for level in levels]
@@ -87,33 +88,31 @@ def _homology_matches(g: Graph, betti: tuple[int, ...]) -> bool | None:
 
 def is_contractible(g: Graph, *, size_cap: int = SIZE_CAP) -> bool:
     """True iff some sequence of simple point deletions reaches a single vertex."""
-    _check_cap(g, size_cap)
-    return _contractible(g)
+    _check_cap(g.vertex_count, size_cap)
+    _, nbr = g.bitsets()
+    return _contractible(nbr, (1 << len(nbr)) - 1)
 
 
-def _contractible(g: Graph, *, guard: bool = True) -> bool:
-    """The search; `guard=False` when g shares the homology of a graph that passed the guard."""
-    n = g.vertex_count
-    if n == 0:
-        return False
-    if n == 1:
+def _contractible(nbr: list[int], mask: int, *, guard: bool = True) -> bool:
+    """The search on mask; `guard=False` when it shares the homology of a graph that passed the guard."""
+    if mask & (mask - 1) == 0:  # at most one point
+        return mask != 0
+    if any(nbr[i] & mask == mask ^ (1 << i) for i in bits(mask)):
         return True
-    if any(g.degree(v) == n - 1 for v in g.vertices):
-        return True
-    if not g.is_connected():
+    if not connected(nbr, mask):
         return False
     if guard:
-        matches = _homology_matches(g, (1,))
+        matches = _homology_matches(nbr, mask, (1,))
         if matches is False:
             return False
         guard = matches is None
-    key = ("contractible", g.canonical_form())
+    key = ("contractible", canonical_form(nbr, mask))
     hit = _VERDICTS.get(key)
     if hit is not None:
         return hit
     result = False
-    for v in g.sorted_vertices():
-        if _contractible(g.rim(v)) and _contractible(g.remove((v,)), guard=guard):
+    for i in bits(mask):
+        if _contractible(nbr, nbr[i] & mask) and _contractible(nbr, mask ^ (1 << i), guard=guard):
             result = True
             break
     _VERDICTS[key] = result
@@ -122,18 +121,18 @@ def _contractible(g: Graph, *, guard: bool = True) -> bool:
 
 def is_simple_point(g: Graph, v: str, *, size_cap: int = SIZE_CAP) -> bool:
     """True iff the rim of v is contractible, so deleting v preserves homotopy."""
-    rim = g.rim(v)
-    _check_cap(rim, size_cap)
-    return _contractible(rim)
+    _check_cap(g.degree(v), size_cap)
+    verts, nbr = g.bitsets()
+    return _contractible(nbr, nbr[verts.index(v)])
 
 
 def is_simple_edge(g: Graph, u: str, v: str, *, size_cap: int = SIZE_CAP) -> bool:
     """True iff the joint rim of the edge (u, v) is contractible."""
     if not g.has_edge(u, v):
         raise DomainError(f"no edge between {u!r} and {v!r}")
-    joint = g.induced(g.common_neighbors(u, v))
-    _check_cap(joint, size_cap)
-    return _contractible(joint)
+    _check_cap(len(g.common_neighbors(u, v)), size_cap)
+    verts, nbr = g.bitsets()
+    return _contractible(nbr, nbr[verts.index(u)] & nbr[verts.index(v)])
 
 
 # -- certificates ----------------------------------------------------------
@@ -211,20 +210,20 @@ def contractibility_certificate(g: Graph, *, size_cap: int = SIZE_CAP) -> Reduct
     branch the depth-first search would succeed on, so equal inputs give
     equal certificates.
     """
-    _check_cap(g, size_cap)
-    if not _contractible(g):
+    _check_cap(g.vertex_count, size_cap)
+    verts, nbr = g.bitsets()
+    mask = (1 << len(verts)) - 1
+    if not _contractible(nbr, mask):
         return None
     order: list[str] = []
-    while g.vertex_count > 1:
-        for v in g.sorted_vertices():
-            if _contractible(g.rim(v)):
-                rest = g.remove((v,))
-                if _contractible(rest, guard=False):
-                    break
+    while mask & (mask - 1):
+        for i in bits(mask):
+            if _contractible(nbr, nbr[i] & mask) and _contractible(nbr, mask ^ (1 << i), guard=False):
+                break
         else:
             raise AssertionError("no simple point leaves a contractible graph")
-        order.append(v)
-        g = rest
+        order.append(verts[i])
+        mask ^= 1 << i
     return ReductionCertificate(tuple(CertStep("dp", (v,)) for v in order))
 
 
@@ -238,32 +237,29 @@ def reduce_to_subgraph(
     fails the homology guard: deletions would carry g's homology to the
     target's, which is a point's.
     """
-    _check_cap(g, size_cap)
-    keep = frozenset(keep)
-    target = g.induced(keep)  # validates membership
-    if not _contractible(target):
+    _check_cap(g.vertex_count, size_cap)
+    verts, nbr = g.bitsets()
+    goal = mask_of(verts, keep)
+    if not _contractible(nbr, goal):
         raise DomainError("target subgraph is not contractible")
-    if _homology_matches(g, (1,)) is False:
+    if _homology_matches(nbr, (1 << len(verts)) - 1, (1,)) is False:
         return None
-    dead: set[frozenset[str]] = set()
+    dead: set[int] = set()
 
-    def search(cur: Graph) -> list[str] | None:
-        if cur.vertices == keep:
+    def search(mask: int) -> list[str] | None:
+        if mask == goal:
             return []
-        state = cur.vertices
-        if state in dead:
+        if mask in dead:
             return None
-        for v in cur.sorted_vertices():
-            if v in keep:
-                continue
-            if _contractible(cur.rim(v)):
-                rest = search(cur.remove((v,)))
+        for i in bits(mask & ~goal):
+            if _contractible(nbr, nbr[i] & mask):
+                rest = search(mask ^ (1 << i))
                 if rest is not None:
-                    return [v] + rest
-        dead.add(state)
+                    return [verts[i]] + rest
+        dead.add(mask)
         return None
 
-    order = search(g)
+    order = search((1 << len(verts)) - 1)
     if order is None:
         return None
     return ReductionCertificate(tuple(CertStep("dp", (v,)) for v in order))

@@ -15,9 +15,8 @@ from .graph import Graph
 DEFAULT_CLIQUE_BUDGET = 2_000_000
 
 
-def _clique_lists(g: Graph, budget: int) -> list[list[tuple[int, ...]]]:
-    """All cliques as index tuples, grouped by size, lexicographic within a size."""
-    _, nbr = g.bitsets()
+def _clique_lists(nbr: list[int], mask: int, budget: int) -> list[list[tuple[int, ...]]]:
+    """All cliques on mask as index tuples, grouped by size, lexicographic within a size."""
     by_size: list[list[tuple[int, ...]]] = []
     total = 0
 
@@ -37,13 +36,14 @@ def _clique_lists(g: Graph, budget: int) -> list[list[tuple[int, ...]]]:
             # candidates after i that are adjacent to everything in cur
             grow(cur, cand & nbr[i])
 
-    grow((), (1 << len(nbr)) - 1)
+    grow((), mask)
     return by_size
 
 
 def clique_counts(g: Graph, *, budget: int = DEFAULT_CLIQUE_BUDGET) -> list[int]:
     """Number of cliques of each size, starting at single vertices."""
-    return [len(level) for level in _clique_lists(g, budget)]
+    _, nbr = g.bitsets()
+    return [len(level) for level in _clique_lists(nbr, (1 << len(nbr)) - 1, budget)]
 
 
 def _alternating(values) -> int:
@@ -96,7 +96,8 @@ def _betti(levels: list[list[tuple[int, ...]]]) -> list[int]:
 
 def betti_numbers(g: Graph, *, budget: int = DEFAULT_CLIQUE_BUDGET) -> list[int]:
     """Mod-2 Betti numbers of the clique complex, trailing zeros trimmed."""
-    return _betti(_clique_lists(g, budget))
+    _, nbr = g.bitsets()
+    return _betti(_clique_lists(nbr, (1 << len(nbr)) - 1, budget))
 
 
 @dataclass(frozen=True)
@@ -113,7 +114,8 @@ def invariant_report(g: Graph, *, budget: int = DEFAULT_CLIQUE_BUDGET) -> Invari
     sum and as the alternating Betti sum; a mismatch would mean a bug in
     one of the two pipelines, so it is treated as an internal error.
     """
-    levels = _clique_lists(g, budget)
+    _, nbr = g.bitsets()
+    levels = _clique_lists(nbr, (1 << len(nbr)) - 1, budget)
     counts = [len(level) for level in levels]
     euler = _alternating(counts)
     betti = _betti(levels)

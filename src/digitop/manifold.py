@@ -17,29 +17,31 @@ homology, which by induction is the (k-1)-sphere's, up by one.  A graph
 with other Betti numbers is rejected without the loop; one with more
 than `homotopy.GUARD_CLIQUES` cliques runs the loop as before.
 
-Sphere verdicts are memoized process-wide in homotopy's verdict table,
-keyed by ("sphere", canonical form), beside the contractibility
-verdicts; `homotopy.clear_caches()`, also importable from here, resets
-both.
+Recognition recurses on vertex masks, as in `homotopy`.  Sphere
+verdicts are memoized in homotopy's verdict table, keyed by ("sphere",
+canonical form), with the manifold dimension found on the way under
+("manifold", form), which `classify` reads back instead of walking the
+rims again; `homotopy.clear_caches()`, also importable here, resets all.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .canon import canonical_form
 from .errors import DomainError
-from .graph import Graph
+from .graph import Graph, bits, connected, mask_of
 from .homotopy import _VERDICTS, SIZE_CAP, _check_cap, _contractible, _homology_matches
 from .homotopy import clear_caches  # noqa: F401  re-exported: one reset for every verdict
 
 
-def _manifold_dim(g: Graph) -> int | None:
-    """n when g is connected and every rim is an (n-1)-sphere, else None."""
-    if not g.is_connected():
+def _manifold_dim(nbr: list[int], mask: int) -> int | None:
+    """n when the subgraph on mask is connected and every rim is an (n-1)-sphere, else None."""
+    if not connected(nbr, mask):
         return None
     rim_dims = set()
-    for v in g.sorted_vertices():
-        d = _sphere_dim(g.rim(v))
+    for i in bits(mask):
+        d = _sphere_dim(nbr, nbr[i] & mask)
         if d is None:
             return None
         rim_dims.add(d)
@@ -48,28 +50,26 @@ def _manifold_dim(g: Graph) -> int | None:
     return rim_dims.pop() + 1
 
 
-def _sphere_dim(g: Graph) -> int | None:
-    n = g.vertex_count
-    if n == 2 and g.edge_count == 0:
-        return 0
-    if n < 2:
-        return None
-    key = ("sphere", g.canonical_form())
-    if key in _VERDICTS:
-        return _VERDICTS[key]
-    k = _manifold_dim(g)
-    if k is not None and (
-        _homology_matches(g, (1,) + (0,) * (k - 1) + (1,)) is False
-        or not any(_contractible(g.remove((v,))) for v in g.sorted_vertices())
-    ):
-        k = None
-    _VERDICTS[key] = k
-    return k
+def _sphere_dim(nbr: list[int], mask: int) -> int | None:
+    n = mask.bit_count()
+    if n < 2 or not connected(nbr, mask):
+        return 0 if n == 2 else None
+    form = canonical_form(nbr, mask)
+    if ("sphere", form) not in _VERDICTS:
+        k = _VERDICTS["manifold", form] = _manifold_dim(nbr, mask)
+        if k is not None and (
+            _homology_matches(nbr, mask, (1,) + (0,) * (k - 1) + (1,)) is False
+            or not any(_contractible(nbr, mask ^ (1 << i)) for i in bits(mask))
+        ):
+            k = None
+        _VERDICTS["sphere", form] = k
+    return _VERDICTS["sphere", form]
 
 
 def sphere_dimension(g: Graph, *, size_cap: int = SIZE_CAP) -> int | None:
-    _check_cap(g, size_cap)
-    return _sphere_dim(g)
+    _check_cap(g.vertex_count, size_cap)
+    _, nbr = g.bitsets()
+    return _sphere_dim(nbr, (1 << len(nbr)) - 1)
 
 
 def is_sphere(g: Graph, *, size_cap: int = SIZE_CAP) -> tuple[bool, int | None]:
@@ -79,8 +79,9 @@ def is_sphere(g: Graph, *, size_cap: int = SIZE_CAP) -> tuple[bool, int | None]:
 
 def manifold_dimension(g: Graph, *, size_cap: int = SIZE_CAP) -> int | None:
     """Dimension n >= 1 when connected and every rim is an (n-1)-sphere."""
-    _check_cap(g, size_cap)
-    return _manifold_dim(g)
+    _check_cap(g.vertex_count, size_cap)
+    _, nbr = g.bitsets()
+    return _manifold_dim(nbr, (1 << len(nbr)) - 1)
 
 
 def is_manifold(g: Graph, *, size_cap: int = SIZE_CAP) -> tuple[bool, int | None]:
@@ -131,32 +132,33 @@ class Disk:
             raise DomainError("boundary and interior must partition the disk's vertices")
 
 
-def _disk_dim(g: Graph, boundary: frozenset[str]) -> int | None:
-    if g.vertex_count == 1 and not boundary:
+def _disk_dim(nbr: list[int], mask: int, boundary: int) -> int | None:
+    if mask.bit_count() == 1 and not boundary:
         return 0
     if not boundary:
         return None
-    k = _sphere_dim(g.induced(boundary))
+    k = _sphere_dim(nbr, boundary)
     if k is None:
         return None
-    if not _contractible(g):
+    if not _contractible(nbr, mask):
         return None
-    for v in sorted(g.vertices - boundary):
-        if _sphere_dim(g.rim(v)) != k:
+    for i in bits(mask & ~boundary):
+        if _sphere_dim(nbr, nbr[i] & mask) != k:
             return None
-    for v in sorted(boundary):
-        if _disk_dim(g.rim(v), g.neighbors(v) & boundary) != k:
+    for i in bits(boundary):
+        if _disk_dim(nbr, nbr[i] & mask, nbr[i] & boundary) != k:
             return None
     return k + 1
 
 
 def disk_dimension(g: Graph, boundary, *, size_cap: int = SIZE_CAP) -> int | None:
-    _check_cap(g, size_cap)
+    _check_cap(g.vertex_count, size_cap)
     boundary = frozenset(boundary)
     for v in boundary:
         if v not in g:
             raise DomainError(f"unknown boundary vertex {v!r}")
-    return _disk_dim(g, boundary)
+    verts, nbr = g.bitsets()
+    return _disk_dim(nbr, (1 << len(verts)) - 1, mask_of(verts, boundary))
 
 
 def is_disk(g: Graph, boundary, *, size_cap: int = SIZE_CAP) -> tuple[bool, int | None]:
@@ -179,13 +181,14 @@ def sphere_by_complement(m: Graph, sub, *, size_cap: int = SIZE_CAP) -> bool:
     For a manifold that is a sphere this holds for every contractible
     subspace; for a manifold that is not, it holds for none.
     """
-    _check_cap(m, size_cap)
-    sub = frozenset(sub)
+    _check_cap(m.vertex_count, size_cap)
     if manifold_dimension(m, size_cap=size_cap) is None:
         raise DomainError("sphere_by_complement requires a digital manifold")
-    if not _contractible(m.induced(sub)):
+    verts, nbr = m.bitsets()
+    sub = mask_of(verts, sub)
+    if not _contractible(nbr, sub):
         raise DomainError("removed subspace must induce a contractible subgraph")
-    return _contractible(m.remove(sub))
+    return _contractible(nbr, ((1 << len(verts)) - 1) ^ sub)
 
 
 # -- classification --------------------------------------------------------
@@ -222,19 +225,20 @@ def classify(g: Graph, *, size_cap: int = SIZE_CAP, auto_compress: bool = True) 
 
         compressed_from = work.vertex_count
         work, _ = compress(work)
-    _check_cap(work, size_cap)
-    d = _sphere_dim(work)
+    _check_cap(work.vertex_count, size_cap)
+    verts, nbr = work.bitsets()
+    whole = (1 << len(verts)) - 1
+    d = _sphere_dim(nbr, whole)
     if d is not None:
         return Classification("sphere", d, compressed_from=compressed_from)
-    m = manifold_dimension(work, size_cap=size_cap)
+    m = _VERDICTS.get(("manifold", canonical_form(nbr, whole))) if connected(nbr, whole) else None
     if m is not None:
         return Classification("manifold", m, compressed_from=compressed_from)
-    if work.vertex_count and _contractible(work):
-        candidates = frozenset(
-            v for v in work.vertices if _sphere_dim(work.rim(v)) is None
-        )
-        dd = _disk_dim(work, candidates)
+    if whole and _contractible(nbr, whole):
+        candidates = sum(1 << i for i in bits(whole) if _sphere_dim(nbr, nbr[i]) is None)
+        dd = _disk_dim(nbr, whole, candidates)
         if dd is not None and dd >= 1:
-            return Classification("disk", dd, boundary=candidates, compressed_from=compressed_from)
+            boundary = frozenset(verts[i] for i in bits(candidates))
+            return Classification("disk", dd, boundary=boundary, compressed_from=compressed_from)
         return Classification("contractible", compressed_from=compressed_from)
     return Classification("other", compressed_from=compressed_from)

@@ -315,11 +315,12 @@ def propose_isomorphism(g1: Graph, g2: Graph) -> dict[str, str] | None:
     """
     if g1.vertex_count != g2.vertex_count or g1.edge_count != g2.edge_count:
         return None
-    form1, order1 = canonical_labelling(g1)
-    form2, order2 = canonical_labelling(g2)
+    (verts1, nbr1), (verts2, nbr2) = g1.bitsets(), g2.bitsets()
+    form1, order1 = canonical_labelling(nbr1, (1 << len(nbr1)) - 1)
+    form2, order2 = canonical_labelling(nbr2, (1 << len(nbr2)) - 1)
     if form1 != form2:
         return None
-    return dict(zip(order1, order2))
+    return {verts1[i]: verts2[j] for i, j in zip(order1, order2)}
 
 
 def connected_sum(d1: Disk, d2: Disk, boundary_iso: dict[str, str]) -> Graph:

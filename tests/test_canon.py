@@ -3,9 +3,9 @@ from itertools import permutations
 
 import pytest
 
-from corpus import all_graphs
-from digitop.canon import canonical_form
-from digitop.graph import Graph
+from corpus import all_graphs, connected_graphs
+from digitop.canon import canonical_form, canonical_labelling
+from digitop.graph import Graph, bits
 from digitop.transform import propose_isomorphism
 
 
@@ -35,12 +35,12 @@ def test_invariant_under_relabeling():
         shuffled = labels[:]
         rng.shuffle(shuffled)
         h = relabel(g, dict(zip(labels, [f"r{s}" for s in shuffled])))
-        assert canonical_form(g) == canonical_form(h)
+        assert g.canonical_form() == h.canonical_form()
 
 
 def test_distinguishes_all_small_classes():
     """Distinct isomorphism classes must get distinct canonical forms."""
-    forms = [canonical_form(g) for g in all_graphs(6)]
+    forms = [g.canonical_form() for g in all_graphs(6)]
     assert len(forms) == len(set(forms))
 
 
@@ -55,7 +55,7 @@ def test_agrees_with_brute_force_on_random_pairs():
         rng.shuffle(shuffled)
         h = relabel(h, dict(zip(labels, shuffled)))
         same = brute_isomorphic(g, h)
-        assert (canonical_form(g) == canonical_form(h)) == same
+        assert (g.canonical_form() == h.canonical_form()) == same
         mapping = propose_isomorphism(g, h)
         assert (mapping is not None) == same
         if mapping is not None:
@@ -75,16 +75,16 @@ def test_regular_graphs_need_individualization():
          ("d", "e"), ("e", "f"), ("f", "d"),
          ("a", "d"), ("b", "e"), ("c", "f")],
     )
-    assert canonical_form(k33) != canonical_form(prism)
+    assert k33.canonical_form() != prism.canonical_form()
     # the 6-cycle written two ways
     c6 = Graph("abcdef", [("a", "b"), ("b", "c"), ("c", "d"), ("d", "e"), ("e", "f"), ("f", "a")])
     c6_alt = Graph("abcdef", [("a", "d"), ("d", "b"), ("b", "f"), ("f", "c"), ("c", "e"), ("e", "a")])
-    assert canonical_form(c6) == canonical_form(c6_alt)
+    assert c6.canonical_form() == c6_alt.canonical_form()
 
 
 def test_empty_and_tiny():
-    assert canonical_form(Graph((), ())) == b"0:"
-    assert canonical_form(Graph(("a",), ())) == canonical_form(Graph(("b",), ()))
+    assert Graph((), ()).canonical_form() == b"0:"
+    assert Graph(("a",), ()).canonical_form() == Graph(("b",), ()).canonical_form()
 
 
 def test_is_isomorphic_to_uses_canonical_form():
@@ -92,3 +92,20 @@ def test_is_isomorphic_to_uses_canonical_form():
     h = Graph("wxyz", [("w", "y"), ("y", "x"), ("x", "z"), ("z", "w")])
     assert g.is_isomorphic_to(h)
     assert not g.is_isomorphic_to(Graph("wxyz", [("w", "x")]))
+
+
+def test_mask_forms_equal_the_induced_graphs_forms():
+    """The searches key their verdicts by the form of a vertex mask; it must be
+    the form, and give the labelling, of the induced subgraph built outright."""
+    checked = 0
+    for g in connected_graphs(6):
+        verts, nbr = g.bitsets()
+        for mask in range(1 << len(verts)):
+            sub = g.induced(verts[i] for i in bits(mask))
+            assert canonical_form(nbr, mask) == sub.canonical_form(), (g.sorted_edges(), mask)
+            sub_verts, sub_nbr = sub.bitsets()
+            _, order = canonical_labelling(nbr, mask)
+            _, sub_order = canonical_labelling(sub_nbr, (1 << len(sub_verts)) - 1)
+            assert [verts[i] for i in order] == [sub_verts[j] for j in sub_order]
+            checked += 1
+    assert checked == 7958

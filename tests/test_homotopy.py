@@ -196,18 +196,39 @@ def test_shortcuts_agree_with_plain_search_on_random_cones_and_suspensions():
     assert [sphere_dimension(g) for g in spheres] == [2, 2, 2, 2, 2, 3]
 
 
+def random_connected_graphs(count: int, n: int, seed: int) -> list[Graph]:
+    """Seeded connected G(n, p) graphs, p cycling from sparse to dense."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        g = gnp(rng, n, (0.25, 0.4, 0.55, 0.7)[len(out) % 4])
+        if g.is_connected():
+            out.append(g)
+    return out
+
+
+def test_shortcuts_agree_with_plain_search_on_random_eight_vertex_graphs():
+    for g in random_connected_graphs(300, 8, 8):
+        assert_agrees_with_plain(g)
+
+
+def homology_matches(g: Graph, betti: tuple[int, ...]) -> bool | None:
+    _, nbr = g.bitsets()
+    return _homology_matches(nbr, (1 << len(nbr)) - 1, betti)
+
+
 def test_guard_agrees_with_betti_numbers():
     for g in connected_graphs(6):
         betti = tuple(betti_numbers(g))
-        assert _homology_matches(g, betti) is True
-        assert _homology_matches(g, (1,)) is (betti == (1,))
+        assert homology_matches(g, betti) is True
+        assert homology_matches(g, (1,)) is (betti == (1,))
 
 
 def test_search_without_the_guard_when_the_clique_bound_overflows(monkeypatch):
     monkeypatch.setattr(homotopy, "GUARD_CLIQUES", 1)
     homotopy.clear_caches()
     try:
-        assert _homology_matches(complete(2), (1,)) is None
+        assert homology_matches(complete(2), (1,)) is None
         for g in connected_graphs(6):
             assert_agrees_with_plain(g)
     finally:

@@ -75,7 +75,7 @@ def test_euler_poincare_agreement_on_corpus():
 def test_report_enumerates_cliques_once(monkeypatch):
     calls = []
     real = invariants._clique_lists
-    monkeypatch.setattr(invariants, "_clique_lists", lambda g, budget: calls.append(g) or real(g, budget))
+    monkeypatch.setattr(invariants, "_clique_lists", lambda nbr, mask, budget: calls.append(mask) or real(nbr, mask, budget))
     assert invariant_report(gallery("torus16")).betti == (1, 2, 1)
     assert len(calls) == 1
 

@@ -189,6 +189,31 @@ def test_clear_caches_resets_sphere_verdicts(monkeypatch):
     homotopy.clear_caches()
     calls = []
     real = manifold._sphere_dim
-    monkeypatch.setattr(manifold, "_sphere_dim", lambda h: calls.append(h) or real(h))
+    monkeypatch.setattr(manifold, "_sphere_dim", lambda nbr, mask: calls.append(mask) or real(nbr, mask))
     assert sphere_dimension(g) == 2
     assert len(calls) > 1  # recomputed through the rims, not read back from a cache
+
+
+def test_searches_build_no_graphs_past_their_entry(monkeypatch):
+    """Each public entry converts its graph once; the searches below it run on
+    vertex masks, so a cold query builds no Graph at all."""
+    graphs = [gallery(name) for name in ("torus16", "projective11", "s3-min", "disk2")]
+    graphs += [suspend(gallery("s2-min")), suspend(gallery("disk2"))]
+    built = []
+    real = Graph.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(self)
+        real(self, *args, **kwargs)
+
+    homotopy.clear_caches()
+    monkeypatch.setattr(Graph, "__init__", counting)
+    try:
+        for g in graphs:
+            is_contractible(g)
+            homotopy.contractibility_certificate(g)
+            sphere_dimension(g)
+            classify(g)
+    finally:
+        homotopy.clear_caches()
+    assert built == []
