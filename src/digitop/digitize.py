@@ -20,6 +20,7 @@ from __future__ import annotations
 import ast
 import math
 from dataclasses import dataclass, field
+from itertools import product
 
 import numpy as np
 
@@ -175,19 +176,10 @@ def cube_graph(cubes) -> Graph:
     cubes = set(cubes)
     edges = []
     for c in cubes:
-        for other in _chebyshev_neighbors(c):
+        for other in product(*((x - 1, x, x + 1) for x in c)):
             if other in cubes and other > c:
                 edges.append((cube_label(c), cube_label(other)))
     return Graph((cube_label(c) for c in cubes), edges)
-
-
-def _chebyshev_neighbors(c: tuple[int, ...]):
-    deltas = [()]
-    for coord in c:
-        deltas = [d + (coord + step,) for d in deltas for step in (-1, 0, 1)]
-    for cand in deltas:
-        if cand != c:
-            yield cand
 
 
 # -- per-shape cube tests ----------------------------------------------------
@@ -201,35 +193,27 @@ def _box(index: tuple[int, ...], L: float) -> list[tuple[float, float]]:
     return [(c * L, (c + 1) * L) for c in index]
 
 
-def _dist_bounds_sq(center, box) -> tuple[float, float]:
+def _sphere_meets_box(center, r: float, box) -> bool:
+    """Whether the box's nearest and farthest points lie on either side of the sphere."""
     near = far = 0.0
     for c, (lo, hi) in zip(center, box):
         lo_d, hi_d = lo - c, hi - c
         near += max(lo_d, 0.0, -hi_d) ** 2
         far += max(abs(lo_d), abs(hi_d)) ** 2
-    return near, far
+    return near <= r * r <= far
 
 
 def _round_cubes(shape, L: float):
     """Cubes meeting a circle or sphere surface: near <= r <= far."""
     center, r = shape.center, shape.radius
     ranges = [_index_range(c - r, c + r, L) for c in center]
-    out = []
-    for index in _product(ranges):
-        near, far = _dist_bounds_sq(center, _box(index, L))
-        if near <= r * r <= far:
-            out.append(index)
-    return out
+    return [i for i in product(*ranges) if _sphere_meets_box(center, r, _box(i, L))]
 
 
 def _segment_cubes(shape: Segment, L: float):
     p, q = shape.a, shape.b
     ranges = [_index_range(min(a, b), max(a, b), L) for a, b in zip(p, q)]
-    out = []
-    for index in _product(ranges):
-        if _segment_meets_box(p, q, _box(index, L)):
-            out.append(index)
-    return out
+    return [i for i in product(*ranges) if _segment_meets_box(p, q, _box(i, L))]
 
 
 def _segment_meets_box(p, q, box) -> bool:
@@ -252,21 +236,14 @@ def _segment_meets_box(p, q, box) -> bool:
 def _cube_surface_cubes(shape: CubeSurface, L: float):
     corner, side = shape.corner, shape.side
     ranges = [_index_range(c, c + side, L) for c in corner]
-    out = []
-    for index in _product(ranges):
-        box = _box(index, L)
-        touches = all(lo <= c + side and hi >= c for (lo, hi), c in zip(box, corner))
-        inside = all(lo > c and hi < c + side for (lo, hi), c in zip(box, corner))
-        if touches and not inside:
-            out.append(index)
-    return out
+    return [i for i in product(*ranges) if _surface_meets_box(corner, side, _box(i, L))]
 
 
-def _product(ranges):
-    out = [()]
-    for r in ranges:
-        out = [t + (i,) for t in out for i in r]
-    return out
+def _surface_meets_box(corner, side: float, box) -> bool:
+    """Whether the box touches the closed cube without lying in its open interior."""
+    touches = all(lo <= c + side and hi >= c for (lo, hi), c in zip(box, corner))
+    inside = all(lo > c and hi < c + side for (lo, hi), c in zip(box, corner))
+    return touches and not inside
 
 
 def _implicit_cubes(shape: ImplicitSurface, L: float, depth: int, budget: int):

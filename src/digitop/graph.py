@@ -8,7 +8,8 @@ edges short of building a fresh graph explicitly.
 
 The exponential layers build no graphs: an induced subgraph is an `int`
 mask over one graph's `bitsets()`, whose indices follow sorted label
-order.  A rim is `nbr[i] & mask`, deleting a point clears its bit, and
+order.  A rim is `nbr[i] & mask`, deleting a point clears its bit,
+deleting an edge clears one bit in each end's entry of `nbr`, and
 `components` is the one connectivity routine, for masks and graphs.
 """
 
@@ -30,7 +31,7 @@ def check_label(label: object) -> str:
 class Graph:
     """A finite simple undirected graph used as an immutable value object."""
 
-    __slots__ = ("_adj", "_edges", "_hash", "_canon")
+    __slots__ = ("_adj", "_edges", "_hash")
 
     def __init__(self, vertices: Iterable[str] = (), edges: Iterable[tuple[str, str]] = ()):
         adj: dict[str, set[str]] = {}
@@ -51,7 +52,6 @@ class Graph:
         self._adj: dict[str, frozenset[str]] = {v: frozenset(ns) for v, ns in adj.items()}
         self._edges = frozenset(pairs)
         self._hash: int | None = None
-        self._canon: bytes | None = None
 
     # -- basic queries -------------------------------------------------
 
@@ -164,12 +164,10 @@ class Graph:
 
     def canonical_form(self) -> bytes:
         """Label-invariant certificate; equal bytes iff isomorphic graphs."""
-        if self._canon is None:
-            from .canon import canonical_form
+        from .canon import canonical_form
 
-            _, nbr = self.bitsets()
-            self._canon = canonical_form(nbr, (1 << len(nbr)) - 1)
-        return self._canon
+        _, nbr = self.bitsets()
+        return canonical_form(nbr, (1 << len(nbr)) - 1)
 
     def is_isomorphic_to(self, other: "Graph") -> bool:
         if self.vertex_count != other.vertex_count or self.edge_count != other.edge_count:

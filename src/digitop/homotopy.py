@@ -27,11 +27,13 @@ searched exactly as without it, so the guard never raises and never
 decides what it has not checked.
 
 Each public entry converts its graph once; the searches recurse on
-vertex masks (see `graph`).  Verdicts are memoized process-wide in one
-table shared with `manifold`, keyed by question and the canonical form
-of the node's mask.  They are isomorphism-invariant and the table is
-append-only, so sharing it across queries is sound; it is what makes
-repeated negative searches affordable.  `clear_caches()` empties it.
+vertex masks (see `graph`).  Certificate replay runs every step on one
+mask, through the check behind `is_simple_point` and `is_simple_edge`.
+Verdicts are memoized process-wide in one table shared with `manifold`,
+keyed by question and the canonical form of the node's mask.  They are
+isomorphism-invariant and the table is append-only, so sharing it across
+queries is sound; it is what makes repeated negative searches
+affordable.  `clear_caches()` empties it.
 """
 
 from __future__ import annotations
@@ -119,20 +121,33 @@ def _contractible(nbr: list[int], mask: int, *, guard: bool = True) -> bool:
     return result
 
 
+def _indexed(g: Graph) -> tuple[dict[str, int], list[int], int]:
+    """Each label's position in g's `bitsets()`, its neighbour masks, and the mask of all points."""
+    verts, nbr = g.bitsets()
+    return {v: i for i, v in enumerate(verts)}, nbr, (1 << len(verts)) - 1
+
+
+def _simple(at: dict[str, int], nbr: list[int], mask: int, labels: tuple, size_cap: int) -> bool:
+    """Whether the rim on mask of a point (one label) or an edge (two) is contractible."""
+    rim = mask
+    for v in labels:  # each label lies in the rim of those before it
+        i = at.get(v)
+        if i is None or not rim >> i & 1:
+            absent = "unknown vertex %r" if len(labels) == 1 else "no edge between %r and %r"
+            raise DomainError(absent % tuple(labels))
+        rim &= nbr[i]
+    _check_cap(rim.bit_count(), size_cap)
+    return _contractible(nbr, rim)
+
+
 def is_simple_point(g: Graph, v: str, *, size_cap: int = SIZE_CAP) -> bool:
     """True iff the rim of v is contractible, so deleting v preserves homotopy."""
-    _check_cap(g.degree(v), size_cap)
-    verts, nbr = g.bitsets()
-    return _contractible(nbr, nbr[verts.index(v)])
+    return _simple(*_indexed(g), (v,), size_cap)
 
 
 def is_simple_edge(g: Graph, u: str, v: str, *, size_cap: int = SIZE_CAP) -> bool:
     """True iff the joint rim of the edge (u, v) is contractible."""
-    if not g.has_edge(u, v):
-        raise DomainError(f"no edge between {u!r} and {v!r}")
-    _check_cap(len(g.common_neighbors(u, v)), size_cap)
-    verts, nbr = g.bitsets()
-    return _contractible(nbr, nbr[verts.index(u)] & nbr[verts.index(v)])
+    return _simple(*_indexed(g), (u, v), size_cap)
 
 
 # -- certificates ----------------------------------------------------------
@@ -167,19 +182,19 @@ class ReductionCertificate:
     steps: tuple[CertStep, ...]
 
     def replay(self, g: Graph, *, size_cap: int = SIZE_CAP) -> Graph:
-        cur = g
+        index, nbr, mask = _indexed(g)  # nbr is a fresh list, so 'de' steps may edit it
         for step in self.steps:
+            if not _simple(index, nbr, mask, step.labels, size_cap):
+                what = " ".join(["point" if step.kind == "dp" else "edge", *map(repr, step.labels)])
+                raise DomainError(f"certificate step deletes non-simple {what}")
             if step.kind == "dp":
-                (v,) = step.labels
-                if not is_simple_point(cur, v, size_cap=size_cap):
-                    raise DomainError(f"certificate step deletes non-simple point {v!r}")
-                cur = cur.remove((v,))
+                mask ^= 1 << index[step.labels[0]]
             else:
-                u, v = step.labels
-                if not is_simple_edge(cur, u, v, size_cap=size_cap):
-                    raise DomainError(f"certificate step deletes non-simple edge {u!r} {v!r}")
-                cur = cur.without_edge(u, v)
-        return cur
+                i, j = map(index.get, step.labels)
+                nbr[i], nbr[j] = nbr[i] ^ 1 << j, nbr[j] ^ 1 << i
+        verts, keep = list(index), bits(mask)
+        edges = ((verts[i], verts[j]) for i in keep for j in bits(nbr[i] & mask) if i < j)
+        return Graph((verts[i] for i in keep), edges)
 
 
 def format_certificate(cert: ReductionCertificate) -> str:

@@ -182,13 +182,14 @@ def sphere_by_complement(m: Graph, sub, *, size_cap: int = SIZE_CAP) -> bool:
     subspace; for a manifold that is not, it holds for none.
     """
     _check_cap(m.vertex_count, size_cap)
-    if manifold_dimension(m, size_cap=size_cap) is None:
-        raise DomainError("sphere_by_complement requires a digital manifold")
     verts, nbr = m.bitsets()
+    whole = (1 << len(verts)) - 1
+    if _manifold_dim(nbr, whole) is None:
+        raise DomainError("sphere_by_complement requires a digital manifold")
     sub = mask_of(verts, sub)
     if not _contractible(nbr, sub):
         raise DomainError("removed subspace must induce a contractible subgraph")
-    return _contractible(nbr, ((1 << len(verts)) - 1) ^ sub)
+    return _contractible(nbr, whole ^ sub)
 
 
 # -- classification --------------------------------------------------------

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 from .canon import canonical_labelling
 from .errors import DomainError
-from .graph import Graph, check_label, fresh_labels
+from .graph import Graph, bits, check_label, components, connected, fresh_labels, mask_of
 from .manifold import Disk
 
 
@@ -241,7 +241,7 @@ def compress(g: Graph) -> tuple[Graph, TransformLog]:
                     heapq.heappush(heap, e)
             else:
                 live.discard(e)
-    # a fixpoint comes back as the same object, with its cached canonical form
+    # a fixpoint comes back as the same object, which saves rebuilding it
     return (_graph(adj) if steps else g), TransformLog(tuple(steps))
 
 
@@ -302,9 +302,12 @@ def parse_log(text: str) -> TransformLog:
 
 def separate(m: Graph, s) -> list[frozenset[str]]:
     """Components left after deleting the vertex set s from a connected graph."""
-    if not m.is_connected():
+    verts, nbr = m.bitsets()
+    whole = (1 << len(verts)) - 1
+    if not connected(nbr, whole):
         raise DomainError("separate requires a connected graph")
-    return m.remove(frozenset(s)).connected_components()
+    rest = whole ^ mask_of(verts, frozenset(s))
+    return [frozenset(verts[i] for i in bits(c)) for c in components(nbr, rest)]
 
 
 def propose_isomorphism(g1: Graph, g2: Graph) -> dict[str, str] | None:

@@ -13,7 +13,9 @@ library; they restate the definitions as plainly as possible.
 from functools import cache
 from itertools import combinations, permutations
 
+from digitop.errors import DomainError
 from digitop.graph import Graph
+from digitop.homotopy import SIZE_CAP, _check_cap
 
 LABELS = tuple("abcdefgh")
 
@@ -139,3 +141,27 @@ def plain_sphere_dim(g: Graph) -> int | None:
                 k = None
         _PLAIN[key] = k
     return _PLAIN[key]
+
+
+def plain_replay(cert, g: Graph, size_cap: int = SIZE_CAP) -> Graph:
+    """Replay a certificate on labelled graphs, rebuilding the graph at every step.
+
+    Each step is checked in the library's order: an unknown point or a
+    missing edge, then the rim against size_cap, then the rim's
+    contractibility by `plain_contractible`.
+    """
+    cur = g
+    for step in cert.steps:
+        if step.kind == "dp":
+            (v,) = step.labels
+            rim, what = cur.rim(v), f"point {v!r}"
+        else:
+            u, v = step.labels
+            if not cur.has_edge(u, v):
+                raise DomainError(f"no edge between {u!r} and {v!r}")
+            rim, what = cur.induced(cur.common_neighbors(u, v)), f"edge {u!r} {v!r}"
+        _check_cap(rim.vertex_count, size_cap)
+        if not plain_contractible(rim):
+            raise DomainError(f"certificate step deletes non-simple {what}")
+        cur = cur.remove((v,)) if step.kind == "dp" else cur.without_edge(u, v)
+    return cur

@@ -9,6 +9,7 @@ from corpus import (
     connected_graphs,
     plain_contractible,
     plain_deletion_order,
+    plain_replay,
     plain_sphere_dim,
 )
 from digitop import homotopy
@@ -16,6 +17,8 @@ from digitop.errors import CapacityError, DomainError
 from digitop.graph import Graph
 from digitop.homotopy import (
     SIZE_CAP,
+    CertStep,
+    ReductionCertificate,
     _homology_matches,
     contractibility_certificate,
     format_certificate,
@@ -210,6 +213,75 @@ def random_connected_graphs(count: int, n: int, seed: int) -> list[Graph]:
 def test_shortcuts_agree_with_plain_search_on_random_eight_vertex_graphs():
     for g in random_connected_graphs(300, 8, 8):
         assert_agrees_with_plain(g)
+
+
+def replay_outcome(replay, cert: ReductionCertificate, g: Graph, size_cap: int):
+    try:
+        return replay(cert, g, size_cap)
+    except (DomainError, CapacityError) as exc:
+        return type(exc), str(exc)
+
+
+def forged_step(rng: random.Random, labels: list[str]) -> CertStep:
+    """A step that may name an unknown or deleted label, a missing edge, a loop or a
+    non-simple point."""
+    a, b = rng.choice(labels + ["zz"]), rng.choice(labels + ["zz"])
+    return rng.choice([CertStep("dp", (a,)), CertStep("de", (a, b)), CertStep("de", (a, a))])
+
+
+def valid_step(rng: random.Random, g: Graph) -> tuple[CertStep, Graph] | None:
+    """Some deletion of a simple point or edge of g, and the graph it leaves."""
+    steps = [CertStep("dp", (v,)) for v in g.sorted_vertices()]
+    steps += [CertStep("de", e) for e in g.sorted_edges()]
+    rng.shuffle(steps)
+    for step in steps:
+        try:
+            return step, plain_replay(ReductionCertificate((step,)), g)
+        except DomainError:
+            pass
+    return None
+
+
+REPLAY_FAILURES = ("unknown vertex", "no edge", "above the cap", "non-simple point", "non-simple edge")
+
+
+def test_replay_agrees_with_plain_replay_on_random_certificates():
+    """Replay on one mask gives the graph, or the exception and its message,
+    that step-by-step replay on labelled graphs gives."""
+    rng = random.Random(66)
+    outcomes: dict[str, int] = {}
+    valid_edge_steps = stale = 0
+    for _ in range(500):
+        n = rng.randint(1, 9)
+        labels = rng.sample(["a", "b", "c", "d", "e", "v10", "v2", "v9", "x"], n)
+        pairs = [(x, y) for i, x in enumerate(labels) for y in labels[i + 1:]]
+        p = rng.uniform(0.2, 0.9)
+        g = cur = Graph(labels, [e for e in pairs if rng.random() < p])
+        steps = []
+        for _ in range(rng.randint(0, n + 1)):
+            found = valid_step(rng, cur) if rng.random() < 0.85 else None
+            if found is None:
+                steps.append(forged_step(rng, labels))
+                stale += any(v in g and v not in cur for v in steps[-1].labels)
+                break
+            steps.append(found[0])
+            cur = found[1]
+        cert = ReductionCertificate(tuple(steps))
+        size_cap = rng.choice((SIZE_CAP, SIZE_CAP, 2))
+        want = replay_outcome(plain_replay, cert, g, size_cap)
+        got = replay_outcome(lambda c, h, k: c.replay(h, size_cap=k), cert, g, size_cap)
+        assert got == want, (g.sorted_edges(), format_certificate(cert), size_cap)
+        if isinstance(want, Graph):
+            kind = "replayed"
+            valid_edge_steps += sum(s.kind == "de" for s in steps)
+        else:
+            kind = next(k for k in REPLAY_FAILURES if k in want[1])
+            if kind == "no edge" and len(set(steps[-1].labels)) == 1:
+                kind = "loop"
+        outcomes[kind] = outcomes.get(kind, 0) + 1
+    assert outcomes["replayed"] >= 500 // 3
+    assert valid_edge_steps >= 100 and stale >= 10
+    assert set(outcomes) == {"replayed", "loop", *REPLAY_FAILURES}, outcomes
 
 
 def homology_matches(g: Graph, betti: tuple[int, ...]) -> bool | None:

@@ -196,7 +196,8 @@ def test_clear_caches_resets_sphere_verdicts(monkeypatch):
 
 def test_searches_build_no_graphs_past_their_entry(monkeypatch):
     """Each public entry converts its graph once; the searches below it run on
-    vertex masks, so a cold query builds no Graph at all."""
+    vertex masks, so a cold query builds no Graph at all, and replaying a
+    certificate builds one, its result."""
     graphs = [gallery(name) for name in ("torus16", "projective11", "s3-min", "disk2")]
     graphs += [suspend(gallery("s2-min")), suspend(gallery("disk2"))]
     built = []
@@ -208,12 +209,23 @@ def test_searches_build_no_graphs_past_their_entry(monkeypatch):
 
     homotopy.clear_caches()
     monkeypatch.setattr(Graph, "__init__", counting)
+    replayed = 0
     try:
         for g in graphs:
             is_contractible(g)
-            homotopy.contractibility_certificate(g)
+            cert = homotopy.contractibility_certificate(g)
             sphere_dimension(g)
             classify(g)
+            edges = [e for e in g.sorted_edges() if homotopy.is_simple_edge(g, *e)]
+            assert built == []
+            certs = [homotopy.ReductionCertificate((homotopy.CertStep("de", e),)) for e in edges[:1]]
+            if cert is not None:
+                certs.append(cert)
+            for c in certs:
+                result = c.replay(g)
+                assert len(built) == 1 and built[0] is result
+                built.clear()
+                replayed += 1
     finally:
         homotopy.clear_caches()
-    assert built == []
+    assert replayed == 4
