@@ -4,8 +4,11 @@ from itertools import permutations
 import pytest
 
 from corpus import all_graphs, connected_graphs
+from digitop import canon
 from digitop.canon import canonical_form, canonical_labelling
+from digitop.errors import CapacityError
 from digitop.graph import Graph, bits
+from digitop.manifold import minimal_sphere, suspend
 from digitop.transform import propose_isomorphism
 
 
@@ -109,3 +112,124 @@ def test_mask_forms_equal_the_induced_graphs_forms():
             assert [verts[i] for i in order] == [sub_verts[j] for j in sub_order]
             checked += 1
     assert checked == 7958
+
+
+def cycle(n: int) -> Graph:
+    labels = [f"v{i}" for i in range(n)]
+    return Graph(labels, [(labels[i], labels[(i + 1) % n]) for i in range(n)])
+
+
+def cycles(*lengths: int) -> Graph:
+    """Disjoint cycles: every vertex has degree 2, so refinement alone splits nothing."""
+    return Graph(
+        [f"{j}_{i}" for j, k in enumerate(lengths) for i in range(k)],
+        [(f"{j}_{i}", f"{j}_{(i + 1) % k}") for j, k in enumerate(lengths) for i in range(k)],
+    )
+
+
+def torus(a: int, b: int) -> Graph:
+    """a x b periodic grid plus one diagonal per square; torus(4, 4) is the Shrikhande graph."""
+    return Graph(
+        [f"t{i}_{j}" for i in range(a) for j in range(b)],
+        [(f"t{i}_{j}", f"t{(i + di) % a}_{(j + dj) % b}")
+         for i in range(a) for j in range(b) for di, dj in ((1, 0), (0, 1), (1, 1))],
+    )
+
+
+def shuffled(g: Graph, rng: random.Random) -> Graph:
+    """A copy of g under a random relabelling whose sort order differs from g's."""
+    labels = g.sorted_vertices()
+    targets = list(range(len(labels)))
+    rng.shuffle(targets)
+    return relabel(g, {v: f"r{t:03d}" for v, t in zip(labels, targets)})
+
+
+def assert_isomorphism(g: Graph, h: Graph, mapping: dict[str, str] | None) -> None:
+    assert mapping is not None
+    assert set(mapping) == g.vertices and set(mapping.values()) == h.vertices
+    gv = g.sorted_vertices()
+    assert all(
+        g.has_edge(u, v) == h.has_edge(mapping[u], mapping[v])
+        for i, u in enumerate(gv) for v in gv[i + 1:]
+    )
+
+
+def symmetric_family() -> list[Graph]:
+    spheres = [minimal_sphere(n) for n in range(1, 7)]
+    unions = [cycles(*ks) for ks in ((3, 4), (3, 3, 4), (4, 5, 7), (3, 4, 5, 6))]
+    return (
+        [cycle(n) for n in range(4, 61)]
+        + [torus(a, b) for a in range(3, 7) for b in range(3, 7)]
+        + spheres
+        + [suspend(s) for s in spheres]
+        + unions
+        + [suspend(u) for u in unions]
+    )
+
+
+def test_symmetric_families_keep_their_form_under_relabelling():
+    rng = random.Random(2014)
+    for g in symmetric_family():
+        h = shuffled(g, rng)
+        assert h.canonical_form() == g.canonical_form(), g.sorted_edges()
+        assert_isomorphism(g, h, propose_isomorphism(g, h))
+
+
+def test_refinement_proof_pairs_get_different_forms():
+    """Each pair has equal degrees everywhere, so only individualization tells them apart."""
+    rng = random.Random(5)
+    for k in range(3, 31):
+        twice = cycles(k, k)
+        assert twice.canonical_form() != cycle(2 * k).canonical_form()
+        assert shuffled(twice, rng).canonical_form() == twice.canonical_form()
+        assert propose_isomorphism(twice, cycle(2 * k)) is None
+    rook = Graph(
+        [f"q{i}_{j}" for i in range(4) for j in range(4)],
+        [(f"q{i}_{j}", f"q{i}_{k}") for i in range(4) for j in range(4) for k in range(j + 1, 4)]
+        + [(f"q{j}_{i}", f"q{k}_{i}") for i in range(4) for j in range(4) for k in range(j + 1, 4)],
+    )
+    shrikhande = torus(4, 4)
+    for g in (rook, shrikhande):  # both strongly regular with parameters (16, 6, 2, 2)
+        assert g.vertex_count == 16 and g.edge_count == 48
+        _, nbr = g.bitsets()
+        assert all(m.bit_count() == 6 for m in nbr)
+        for i in range(16):
+            for j in range(i + 1, 16):
+                assert (nbr[i] & nbr[j]).bit_count() == 2
+    assert rook.canonical_form() != shrikhande.canonical_form()
+    assert propose_isomorphism(rook, shrikhande) is None
+    for g in (rook, shrikhande):
+        h = shuffled(g, rng)
+        assert h.canonical_form() == g.canonical_form()
+        assert_isomorphism(g, h, propose_isomorphism(g, h))
+
+
+def test_seven_vertex_corpus_forms_are_complete_invariants():
+    """The corpus is deduplicated by form, so its class counts (OEIS A001349)
+    show that no two classes share a form; relabellings must keep each form."""
+    graphs = connected_graphs(7)
+    counts = [sum(g.vertex_count == n for g in graphs) for n in range(1, 8)]
+    assert counts == [1, 1, 2, 6, 21, 112, 853]
+    rng = random.Random(3)
+    forms = set()
+    for g in graphs:
+        form = g.canonical_form()
+        forms.add(form)
+        assert shuffled(g, rng).canonical_form() == form, g.sorted_edges()
+    assert len(forms) == len(graphs)
+
+
+def test_symmetric_graphs_stay_within_a_small_leaf_budget(monkeypatch):
+    monkeypatch.setattr(canon, "MAX_LEAVES", 1_000)
+    for g in [minimal_sphere(n) for n in range(6, 9)] + [cycle(200), torus(10, 10)]:
+        g.canonical_form()
+
+
+def test_leaf_budget_error_says_what_it_used_and_which_knob_raises_it(monkeypatch):
+    monkeypatch.setattr(canon, "MAX_LEAVES", 2)
+    with pytest.raises(CapacityError) as err:
+        minimal_sphere(3).canonical_form()
+    message = str(err.value)
+    assert "searched 3 leaves" in message
+    assert "limit 2" in message
+    assert "digitop.canon.MAX_LEAVES" in message
