@@ -22,7 +22,10 @@ mapped position by position onto the best leaf's.  An automorphism
 that fixes a node's individualized vertices maps the subtrees of two
 of its children onto each other, codes included.  So a child in the
 same orbit as an explored sibling, under the recorded automorphisms
-that fix the node's path, is skipped; and the leaf that found the
+that fix the node's path, is skipped.  An automorphism is kept as the
+mask and the pairs of the points it moves: it fixes a path whose mask
+its own misses, and only its moved points in the target cell join
+orbits, since a fixed point joins only itself.  The leaf that found the
 automorphism ends the search of its own subtree under the node where
 its path left the best leaf's, since that subtree is the image of one
 already searched.  Both prunings are exact.  Vertex-transitive graphs
@@ -122,12 +125,14 @@ def canonical_labelling(nbr: list[int], mask: int) -> tuple[bytes, list[int]]:
             code = (code << (n - 1 - i)) | (row >> (i + 1))
         return code
 
-    gens: list[list[int]] = []  # automorphisms found, as vertex maps
+    gens: list[tuple[int, list[tuple[int, int]]]] = []  # automorphisms: mask and pairs of moved points
     best: tuple[int, list[int], list[int]] | None = None  # code, order, path
     leaves = 0
 
-    def search(lab: list[int], cend: list[int], cell: list[int], cells: int, path: list[int]) -> int:
-        """Search below the node, of `cells` cells, reached by individualizing `path`.
+    def search(
+        lab: list[int], cend: list[int], cell: list[int], cells: int, path: list[int], pmask: int
+    ) -> int:
+        """Search below the node, of `cells` cells, reached by individualizing `path` (mask `pmask`).
 
         Returns the depth of the ancestor at which the search resumes.
         """
@@ -144,10 +149,8 @@ def canonical_labelling(nbr: list[int], mask: int) -> tuple[bytes, list[int]]:
             if best is None or code < best[0]:
                 best = (code, lab, path)
             elif code == best[0]:
-                gen = [0] * n
-                for v, w in zip(lab, best[1]):
-                    gen[v] = w
-                gens.append(gen)
+                moved = [(v, w) for v, w in zip(lab, best[1]) if v != w]
+                gens.append((sum(1 << v for v, _ in moved), moved))
                 return next(i for i, (v, w) in enumerate(zip(path, best[2])) if v != w)
             return depth - 1
         t = target(cend)
@@ -157,10 +160,11 @@ def canonical_labelling(nbr: list[int], mask: int) -> tuple[bytes, list[int]]:
         used = 0
         explored: list[int] = []
         for v in sorted(members):
-            for gen in gens[used:]:
-                if all(gen[p] == p for p in path):
-                    for x in members:
-                        orbit[_find(orbit, x)] = _find(orbit, gen[x])
+            for moved_mask, moved in gens[used:]:
+                if not moved_mask & pmask:  # fixes the path, so maps the target cell onto itself
+                    for x, y in moved:
+                        if x in orbit:
+                            orbit[_find(orbit, x)] = _find(orbit, y)
             used = len(gens)
             root = _find(orbit, v)
             if any(_find(orbit, x) == root for x in explored):
@@ -173,13 +177,13 @@ def canonical_labelling(nbr: list[int], mask: int) -> tuple[bytes, list[int]]:
                 child_cell[x] = t + 1
             child_cell[v] = t
             child_cells = refine(child_lab, child_cend, child_cell, deque([t]), cells + 1)
-            back = search(child_lab, child_cend, child_cell, child_cells, path + [v])
+            back = search(child_lab, child_cend, child_cell, child_cells, path + [v], pmask | 1 << v)
             if back < depth:
                 return back
         return depth - 1
 
     lab, cend, cell = list(range(n)), [n] * n, [0] * n
-    search(lab, cend, cell, refine(lab, cend, cell, deque([0]), 1), [])
+    search(lab, cend, cell, refine(lab, cend, cell, deque([0]), 1), [], 0)
     assert best is not None
     code, order, _ = best
     edges = sum(map(len, adj)) // 2

@@ -133,11 +133,7 @@ def _cmd_split(args) -> tuple[int, str]:
 
 def _cmd_separate(args) -> tuple[int, str]:
     g = read_graph(args.file)
-    removed = _parse_csv(args.remove)
-    for v in sorted(removed):
-        if v not in g:
-            raise DomainError(f"unknown vertex {v!r}")
-    parts = separate(g, removed)
+    parts = separate(g, _parse_csv(args.remove))
     lines = [f"parts: {len(parts)}"]
     for i, part in enumerate(parts, start=1):
         lines.append(f"part {i}: {' '.join(sorted(part))}")

@@ -12,7 +12,9 @@ Implicit surfaces (zero sets of an expression in x, y[, z]) are tested
 by sampling the expression on each cube's corner lattice, refined by
 `subdivision_depth` halvings, and looking for a sign change; features
 thinner than the sample spacing can be missed, so implicit models are
-correct up to that resolution only.
+correct up to that resolution only.  That sampling is the only use of
+numpy, which is imported when an implicit shape is digitized and not
+before: vetting and compiling an expression need no numpy.
 """
 
 from __future__ import annotations
@@ -22,19 +24,13 @@ import math
 from dataclasses import dataclass, field
 from itertools import product
 
-import numpy as np
-
 from .errors import CapacityError, DomainError
 from .graph import Graph
 
 DEFAULT_CUBE_BUDGET = 200_000
 IMPLICIT_DEFAULT_BOUND = 8.0
 
-_FUNCTIONS = {
-    "sqrt": np.sqrt, "sin": np.sin, "cos": np.cos, "tan": np.tan,
-    "exp": np.exp, "log": np.log, "abs": np.abs, "hypot": np.hypot,
-    "minimum": np.minimum, "maximum": np.maximum,
-}
+_FUNCTIONS = ("sqrt", "sin", "cos", "tan", "exp", "log", "abs", "hypot", "minimum", "maximum")
 _CONSTANTS = {"pi": math.pi, "e": math.e}
 _VARIABLES = ("x", "y", "z")
 
@@ -247,6 +243,8 @@ def _surface_meets_box(corner, side: float, box) -> bool:
 
 
 def _implicit_cubes(shape: ImplicitSurface, L: float, depth: int, budget: int):
+    import numpy as np  # the one numeric backend, loaded only to evaluate an expression
+
     code = compile_implicit(shape.expression, shape.dim)
     lo_idx = math.floor(-shape.bound / L)
     hi_idx = math.ceil(shape.bound / L)
@@ -259,17 +257,14 @@ def _implicit_cubes(shape: ImplicitSurface, L: float, depth: int, budget: int):
         )
     axis = np.linspace(lo_idx * L, hi_idx * L, samples)
     grids = np.meshgrid(*([axis] * shape.dim), indexing="ij")
-    env = {**_FUNCTIONS, **_CONSTANTS}
+    env = {name: getattr(np, name) for name in _FUNCTIONS}
+    env.update(_CONSTANTS)
     env.update(zip(_VARIABLES, grids))
     try:
         values = eval(code, {"__builtins__": {}}, env)  # syntax vetted by _vet_implicit
     except Exception as exc:
         raise DomainError(f"implicit expression failed to evaluate: {exc}") from None
-    values = np.asarray(values, dtype=float)
-    if values.shape != grids[0].shape:
-        values = np.broadcast_to(values, grids[0].shape)
-    lo_block = values
-    hi_block = values
+    lo_block = hi_block = np.broadcast_to(np.asarray(values, dtype=float), grids[0].shape)
     for ax in range(shape.dim):
         win_lo = np.lib.stride_tricks.sliding_window_view(lo_block, step + 1, axis=ax)
         win_hi = np.lib.stride_tricks.sliding_window_view(hi_block, step + 1, axis=ax)

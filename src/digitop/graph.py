@@ -108,9 +108,7 @@ class Graph:
     def induced(self, keep: Iterable[str]) -> "Graph":
         """Induced subgraph on the given vertices."""
         keep = set(keep)
-        for v in keep:
-            if v not in self._adj:
-                raise DomainError(f"unknown vertex {v!r}")
+        check_known(keep, self._adj)
         return Graph(keep, ((u, v) for u, v in self._edges if u in keep and v in keep))
 
     def rim(self, v: str) -> "Graph":
@@ -124,9 +122,7 @@ class Graph:
     def remove(self, drop: Iterable[str]) -> "Graph":
         """Induced subgraph on the complement of the given vertex set."""
         drop = set(drop)
-        for v in drop:
-            if v not in self._adj:
-                raise DomainError(f"unknown vertex {v!r}")
+        check_known(drop, self._adj)
         return self.induced(set(self._adj) - drop)
 
     def without_edge(self, u: str, v: str) -> "Graph":
@@ -196,10 +192,16 @@ def bits(mask: int) -> list[int]:
 def mask_of(verts: list[str], labels: Iterable[str]) -> int:
     """Mask of the labels' positions in the sorted label list verts."""
     at = {v: 1 << i for i, v in enumerate(verts)}
-    try:
-        return sum(at[v] for v in set(labels))
-    except KeyError as exc:
-        raise DomainError(f"unknown vertex {exc.args[0]!r}") from None
+    labels = set(labels)
+    check_known(labels, at)
+    return sum(at[v] for v in labels)
+
+
+def check_known(labels: Iterable[str], known: Container[str], what: str = "vertex") -> None:
+    """Raise DomainError naming the smallest label not in known, the same under every hash seed."""
+    missing = [v for v in labels if v not in known]
+    if missing:
+        raise DomainError(f"unknown {what} {min(missing, key=str)!r}")
 
 
 def components(nbr: list[int], mask: int) -> Iterator[int]:

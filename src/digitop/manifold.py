@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 from .canon import canonical_form
 from .errors import DomainError
-from .graph import Graph, bits, connected, mask_of
+from .graph import Graph, bits, check_known, connected, mask_of
 from .homotopy import _VERDICTS, SIZE_CAP, _check_cap, _contractible, _homology_matches
 from .homotopy import clear_caches  # noqa: F401  re-exported: one reset for every verdict
 
@@ -154,9 +154,7 @@ def _disk_dim(nbr: list[int], mask: int, boundary: int) -> int | None:
 def disk_dimension(g: Graph, boundary, *, size_cap: int = SIZE_CAP) -> int | None:
     _check_cap(g.vertex_count, size_cap)
     boundary = frozenset(boundary)
-    for v in boundary:
-        if v not in g:
-            raise DomainError(f"unknown boundary vertex {v!r}")
+    check_known(boundary, g, "boundary vertex")
     verts, nbr = g.bitsets()
     return _disk_dim(nbr, (1 << len(verts)) - 1, mask_of(verts, boundary))
 

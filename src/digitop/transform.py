@@ -92,7 +92,10 @@ class TransformStep:
 
     def inverse(self) -> "TransformStep":
         if self.x_only is None or self.y_only is None or self.shared is None:
-            raise DomainError("step carries no neighbor partition; replay it first to bind one")
+            raise DomainError(
+                "step carries no neighbor partition: an F line stores none, so invert the log "
+                "that compress returned, or replay the R lines of its inverse log"
+            )
         kind = "split" if self.kind == "contract" else "contract"
         return TransformStep(kind, self.x, self.y, self.z, self.x_only, self.y_only, self.shared)
 
@@ -303,10 +306,11 @@ def parse_log(text: str) -> TransformLog:
 def separate(m: Graph, s) -> list[frozenset[str]]:
     """Components left after deleting the vertex set s from a connected graph."""
     verts, nbr = m.bitsets()
+    removed = mask_of(verts, s)  # unknown labels are reported before a disconnected graph
     whole = (1 << len(verts)) - 1
     if not connected(nbr, whole):
         raise DomainError("separate requires a connected graph")
-    rest = whole ^ mask_of(verts, frozenset(s))
+    rest = whole ^ removed
     return [frozenset(verts[i] for i in bits(c)) for c in components(nbr, rest)]
 
 

@@ -1,4 +1,5 @@
 import random
+import time
 from itertools import permutations
 
 import pytest
@@ -42,9 +43,24 @@ def test_invariant_under_relabeling():
 
 
 def test_distinguishes_all_small_classes():
-    """Distinct isomorphism classes must get distinct canonical forms."""
-    forms = [g.canonical_form() for g in all_graphs(6)]
+    """Distinct isomorphism classes must get distinct canonical forms.
+
+    The corpus keeps one graph per form, so a form that merged two classes
+    would shrink it and one that split a class would grow it: the class
+    counts (OEIS A000088) and the forms of relabelled copies can fail.  A
+    search that tries only the first child of each node still gets every
+    class on up to 6 vertices right, so the 7-vertex layer is checked too.
+    """
+    small = all_graphs(6)
+    assert [sum(g.vertex_count == n for g in small) for n in range(1, 7)] == [1, 2, 4, 11, 34, 156]
+    graphs = all_graphs(7)
+    assert graphs[:len(small)] == small
+    assert sum(g.vertex_count == 7 for g in graphs) == 1044
+    forms = [g.canonical_form() for g in graphs]
     assert len(forms) == len(set(forms))
+    rng = random.Random(5)
+    for g, form in zip(graphs, forms):
+        assert shuffled(g, rng).canonical_form() == form, g.sorted_edges()
 
 
 def test_agrees_with_brute_force_on_random_pairs():
@@ -223,6 +239,17 @@ def test_symmetric_graphs_stay_within_a_small_leaf_budget(monkeypatch):
     monkeypatch.setattr(canon, "MAX_LEAVES", 1_000)
     for g in [minimal_sphere(n) for n in range(6, 9)] + [cycle(200), torus(10, 10)]:
         g.canonical_form()
+
+
+def test_twin_heavy_graphs_do_not_stall():
+    """Isolated points and disjoint edges have huge automorphism groups whose
+    generators each move two points; applying only those keeps the search fast."""
+    points = Graph([f"p{i}" for i in range(100)])
+    edges = Graph([f"e{i}" for i in range(100)], [(f"e{i}", f"e{i + 1}") for i in range(0, 100, 2)])
+    start = time.perf_counter()
+    assert points.canonical_form().startswith(b"100:0:")
+    assert edges.canonical_form().startswith(b"100:50:")
+    assert time.perf_counter() - start < 2.0
 
 
 def test_leaf_budget_error_says_what_it_used_and_which_knob_raises_it(monkeypatch):

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from digitop.digitize import (
@@ -202,3 +207,24 @@ def test_model_records_parameters():
     assert model.dim == 2
     assert model.graph == cube_graph(model.cubes)
     assert isinstance(model.graph, Graph)
+
+
+def test_numpy_is_loaded_only_to_digitize_an_implicit_shape():
+    code = "\n".join([
+        "import sys",
+        "import digitop",
+        "print('numpy' in sys.modules)",
+        "import digitop.cli",
+        "print('numpy' in sys.modules)",
+        "shape = digitop.parse_shape('implicit:x*x+y*y-4')",
+        "print('numpy' in sys.modules)",
+        "model = digitop.digitize(shape, 1.0)",
+        "print('numpy' in sys.modules)",
+        "print(model.cubes == digitop.digitize(digitop.Circle((0.0, 0.0), 2.0), 1.0).cubes)",
+    ])
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120, check=False
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False", "False", "False", "True", "True"]

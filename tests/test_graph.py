@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from digitop.errors import DomainError
@@ -167,3 +172,48 @@ def test_file_round_trip(tmp_path):
     path = tmp_path / "g.txt"
     write_graph(g, path)
     assert read_graph(path) == g
+
+
+UNKNOWN_LABELS = """
+import sys
+from digitop import (DomainError, disk_dimension, format_graph, minimal_sphere,
+                     reduce_to_subgraph, separate, sphere_by_complement)
+from digitop.cli import run
+g = minimal_sphere(2)
+unknown = {"q3", "q1", "x0", "q2"}
+calls = [
+    lambda: separate(g, unknown),
+    lambda: g.remove(unknown),
+    lambda: g.induced(unknown),
+    lambda: reduce_to_subgraph(g, unknown),
+    lambda: sphere_by_complement(g, unknown),
+    lambda: disk_dimension(g, unknown),
+]
+for call in calls:
+    try:
+        call()
+    except DomainError as exc:
+        print(exc)
+with open(sys.argv[1], "w") as fh:
+    fh.write(format_graph(g))
+result = run(["separate", sys.argv[1], "--remove", "q3,x0,q2,q1"])
+print(result.exit_code, repr(result.stdout), result.stderr, end="")
+"""
+
+
+def test_unknown_label_errors_name_the_smallest_under_every_hash_seed(tmp_path):
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
+    outputs = set()
+    for seed in range(4):
+        proc = subprocess.run(
+            [sys.executable, "-c", UNKNOWN_LABELS, str(tmp_path / "g.txt")],
+            capture_output=True, text=True, env={**env, "PYTHONHASHSEED": str(seed)},
+            timeout=120, check=False,
+        )
+        assert proc.returncode == 0, proc.stderr
+        outputs.add(proc.stdout)
+    assert outputs == {
+        "unknown vertex 'q1'\n" * 5
+        + "unknown boundary vertex 'q1'\n"
+        + "2 '' error: unknown vertex 'q1'\n"
+    }

@@ -236,6 +236,18 @@ def test_log_text_round_trip():
     assert parse_log(inverse_text).replay(compress(cycle(8))[0]) == cycle(8)
 
 
+def test_inverting_a_parsed_contraction_log_says_what_works():
+    comp8, log = compress(cycle(8))
+    with pytest.raises(DomainError) as err:
+        parse_log(format_log(log)).invert(comp8)
+    message = str(err.value)
+    assert "an F line stores none" in message
+    assert "invert the log that compress returned" in message
+    assert "replay the R lines of its inverse log" in message
+    assert "replay it first" not in message
+    assert log.invert(comp8) == cycle(8)
+
+
 def test_parse_log_rejects_malformed():
     with pytest.raises(DomainError):
         parse_log("F a b\n")  # missing arrow
