@@ -11,6 +11,7 @@ mask over one graph's `bitsets()`, whose indices follow sorted label
 order.  A rim is `nbr[i] & mask`, deleting a point clears its bit,
 deleting an edge clears one bit in each end's entry of `nbr`, and
 `components` is the one connectivity routine, for masks and graphs.
+`transform` edits such masks in place, so a slot there keeps no label order.
 """
 
 from __future__ import annotations
@@ -185,8 +186,18 @@ class Graph:
 
 
 def bits(mask: int) -> list[int]:
-    """Indices of the set bits of mask, ascending."""
-    return [i for i in range(mask.bit_length()) if (mask >> i) & 1]
+    """Indices of the set bits of mask, ascending.
+
+    Each pass strips the highest set bit, so the loop runs once per set
+    bit, and the mask it works on shortens as it goes.
+    """
+    out = []
+    while mask:
+        i = mask.bit_length() - 1
+        out.append(i)
+        mask ^= 1 << i
+    out.reverse()
+    return out
 
 
 def mask_of(verts: list[str], labels: Iterable[str]) -> int:

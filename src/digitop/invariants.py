@@ -2,7 +2,9 @@
 
 These are computed directly from clique enumeration and GF(2) boundary
 matrix ranks, with no reference to the deformation machinery, so they
-serve as an independent check on it.
+serve as an independent check on it.  The ranks use clearing, from Chen
+& Kerber, *Persistent homology computation with a twist* (EuroCG 2011);
+`_betti` says why the columns it skips are zero.
 """
 
 from __future__ import annotations
@@ -18,26 +20,33 @@ DEFAULT_CLIQUE_BUDGET = 2_000_000
 def _clique_lists(nbr: list[int], mask: int, budget: int) -> list[list[tuple[int, ...]]]:
     """All cliques on mask as index tuples, grouped by size, lexicographic within a size."""
     by_size: list[list[tuple[int, ...]]] = []
-    total = 0
-
-    def grow(base: tuple[int, ...], cand: int) -> None:
-        nonlocal total
-        while cand:
-            low = cand & -cand
-            i = low.bit_length() - 1
-            cand ^= low
-            cur = base + (i,)
-            total += 1
-            if total > budget:
-                raise CapacityError(f"clique enumeration exceeded budget of {budget}")
-            if len(cur) > len(by_size):
-                by_size.append([])
-            by_size[len(cur) - 1].append(cur)
-            # candidates after i that are adjacent to everything in cur
-            grow(cur, cand & nbr[i])
-
-    grow((), mask)
+    _grow(nbr, (), mask, by_size, 0, budget)
     return by_size
+
+
+def _grow(
+    nbr: list[int], base: tuple[int, ...], cand: int, by_size: list, total: int, budget: int
+) -> int:
+    """Record base plus each candidate, each followed by its own extensions; returns the new total.
+
+    A module function, not a closure: a nested function that calls itself
+    is a reference cycle, which would keep every clique alive until the
+    cycle collector runs.
+    """
+    while cand:
+        low = cand & -cand
+        i = low.bit_length() - 1
+        cand ^= low
+        cur = base + (i,)
+        total += 1
+        if total > budget:
+            raise CapacityError(f"clique enumeration exceeded budget of {budget}")
+        if len(cur) > len(by_size):
+            by_size.append([])
+        by_size[len(cur) - 1].append(cur)
+        # candidates after i that are adjacent to everything in cur
+        total = _grow(nbr, cur, cand & nbr[i], by_size, total, budget)
+    return total
 
 
 def clique_counts(g: Graph, *, budget: int = DEFAULT_CLIQUE_BUDGET) -> list[int]:
@@ -55,39 +64,48 @@ def euler_characteristic(g: Graph, *, budget: int = DEFAULT_CLIQUE_BUDGET) -> in
     return _alternating(clique_counts(g, budget=budget))
 
 
-def _boundary_rank(rows: dict[tuple[int, ...], int], cols: list[tuple[int, ...]]) -> int:
-    """Rank over GF(2) of the boundary matrix with the given simplex columns.
+def _pivot_rows(
+    rows: list[tuple[int, ...]], cols: list[tuple[int, ...]], cleared: set[int]
+) -> set[int]:
+    """Pivot rows of the GF(2) boundary matrix from the simplices `cols` to `rows`.
 
     Each column is the XOR of its facet rows, held as a Python int
-    bitmask and reduced against a pivot table keyed by leading bit.
+    bitmask and reduced left to right against a pivot table keyed by
+    leading bit.  Columns in `cleared` are skipped: they are known to
+    reduce to zero.  The rank is the number of pivots.
     """
+    index = {s: i for i, s in enumerate(rows)}
     pivots: dict[int, int] = {}
-    rank = 0
-    for simplex in cols:
+    for c, simplex in enumerate(cols):
+        if c in cleared:
+            continue
         col = 0
         for k in range(len(simplex)):
-            facet = simplex[:k] + simplex[k + 1 :]
-            col ^= 1 << rows[facet]
+            col ^= 1 << index[simplex[:k] + simplex[k + 1 :]]
         while col:
             lead = col.bit_length() - 1
             other = pivots.get(lead)
             if other is None:
                 pivots[lead] = col
-                rank += 1
                 break
             col ^= other
-    return rank
+    return set(pivots)
 
 
 def _betti(levels: list[list[tuple[int, ...]]]) -> list[int]:
-    """Mod-2 Betti numbers from cliques grouped by size, trailing zeros trimmed."""
+    """Mod-2 Betti numbers from cliques grouped by size, trailing zeros trimmed.
+
+    Dimensions are reduced from the top down.  A column one dimension up
+    that reduces to leading row s is a cycle: s plus earlier simplices of
+    s's size.  So the column of s reduces to zero, and it is skipped.
+    """
     if not levels:
         return []
-    ranks = [0]  # rank of the boundary map out of dimension k, k >= 1
-    for k in range(1, len(levels)):
-        rows = {s: i for i, s in enumerate(levels[k - 1])}
-        ranks.append(_boundary_rank(rows, levels[k]))
-    ranks.append(0)
+    ranks = [0] * (len(levels) + 1)  # rank of the boundary map out of dimension k
+    cleared: set[int] = set()
+    for k in range(len(levels) - 1, 0, -1):
+        cleared = _pivot_rows(levels[k - 1], levels[k], cleared)
+        ranks[k] = len(cleared)
     betti = [len(levels[k]) - ranks[k] - ranks[k + 1] for k in range(len(levels))]
     while len(betti) > 1 and betti[-1] == 0:
         betti.pop()

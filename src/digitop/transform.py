@@ -8,12 +8,13 @@ splitting is the exact inverse, parameterized by how the merged
 point's neighbors are dealt back out.  Compression contracts the
 lexicographically smallest simple pair until none remains.
 
-Every move runs on a mutable adjacency (a dict of neighbor sets).
-Compression keeps one such adjacency and, after each merge, rechecks
-only the edges with an endpoint in the merged point's closed
-neighborhood: no other edge sees a change in its endpoints'
-neighborhoods or in the edges among them.  A log replays or inverts
-on one working adjacency too, and builds a single graph at the end.
+Every move edits one graph's neighbour masks (see `graph`) in place: a
+merged point takes x's slot, and a split gives x the slot of z and y a
+freed one.  A fresh point gets the smallest unused z<k>, from a heap of
+free numbers.  After each merge, compression rechecks only the edges
+with an endpoint in the merged point's closed neighborhood: no other
+edge sees a change in its endpoints' neighborhoods or in the edges
+among them.  A log replays or inverts on one set of masks.
 """
 
 from __future__ import annotations
@@ -23,38 +24,125 @@ from dataclasses import dataclass
 
 from .canon import canonical_labelling
 from .errors import DomainError
-from .graph import Graph, bits, check_label, components, connected, fresh_labels, mask_of
+from .graph import Graph, bits, check_label, components, connected, mask_of
 from .manifold import Disk
 
 
-def _adjacency(g: Graph) -> dict[str, set[str]]:
-    return {v: set(g.neighbors(v)) for v in g.vertices}
-
-
-def _graph(adj: dict[str, set[str]]) -> Graph:
-    return Graph(adj, ((u, v) for u, ns in adj.items() for v in ns if u < v))
-
-
-def _is_simple(nbrs, x: str, y: str) -> bool:
-    """Simple-pair test for adjacent x and y, with `nbrs` looking up a neighbor set."""
-    nx, ny = nbrs(x), nbrs(y)
-    only_y = ny.difference(nx, (x,))
-    for a in nx.difference(ny, (y,)):
-        if not nbrs(a).isdisjoint(only_y):
+def _simple(nbr: list[int], i: int, j: int) -> bool:
+    """Simple-pair test for the edge (i, j), looping over the smaller exclusive side."""
+    ni, nj = nbr[i], nbr[j]
+    only_i, only_j = (ni & ~nj) ^ (1 << j), (nj & ~ni) ^ (1 << i)
+    if only_i.bit_count() > only_j.bit_count():
+        only_i, only_j = only_j, only_i
+    for a in bits(only_i):
+        if nbr[a] & only_j:
             return False
     return True
 
 
+class _Masks:
+    """One graph as neighbour masks over slots, which the moves edit in place."""
+
+    def __init__(self, g: Graph):
+        self.verts, self.nbr = g.bitsets()  # slot -> label; stale for a free slot
+        self.at = {v: i for i, v in enumerate(self.verts)}  # live label -> slot
+        self.spare: list[int] = []  # free slots
+        self.free: list[int] = []  # heap holding every k < top whose z<k> is unused
+        self.top = 0
+
+    def fresh(self) -> str:
+        """The smallest label z<k> not in use."""
+        while True:
+            k = heapq.heappop(self.free) if self.free else self.top
+            self.top = max(self.top, k + 1)
+            if f"z{k}" not in self.at:
+                return f"z{k}"
+
+    def _drop(self, label: str) -> None:
+        """Forget a label; k goes back on the heap when it reads z<k> with k < top."""
+        del self.at[label]
+        k = label[1:]  # z01 gives back a k that may be in use: `fresh` skips it as stale
+        # the length goes first, since int() refuses very long digit strings
+        if label[0] == "z" and k.isdecimal() and len(k) <= len(str(self.top)) and int(k) < self.top:
+            heapq.heappush(self.free, int(k))
+
+    def labels(self, mask: int) -> frozenset[str]:
+        return frozenset(self.verts[i] for i in bits(mask))
+
+    def edge(self, x: str, y: str) -> tuple[int, int]:
+        i, j = self.at.get(x), self.at.get(y)
+        if i is None or j is None or not self.nbr[i] >> j & 1:
+            raise DomainError(f"no edge between {x!r} and {y!r}")
+        return i, j
+
+    def graph(self) -> Graph:
+        nbr, verts = self.nbr, self.verts
+        edges = ((v, verts[j]) for v, i in self.at.items() for j in bits(nbr[i]) if i < j)
+        return Graph(self.at, edges)
+
+    def contract(self, x: str, y: str, z_label: str | None) -> TransformStep:
+        """Merge the simple pair x, y into one fresh point, which takes x's slot."""
+        i, j = self.edge(x, y)
+        nbr = self.nbr
+        if not _simple(nbr, i, j):
+            raise DomainError(f"({x!r}, {y!r}) is not a simple pair")
+        z = self.fresh() if z_label is None else check_label(z_label)
+        if z in self.at:
+            raise DomainError(f"label {z!r} is already a vertex")
+        ni, nj = nbr[i], nbr[j]
+        x_only, y_only, shared = (ni & ~nj) ^ (1 << j), (nj & ~ni) ^ (1 << i), ni & nj
+        for w in bits(y_only | shared):
+            nbr[w] = nbr[w] & ~(1 << j) | 1 << i
+        nbr[i], nbr[j] = x_only | y_only | shared, 0
+        self._drop(x)
+        self._drop(y)
+        self.spare.append(j)
+        self.verts[i], self.at[z] = z, i
+        return TransformStep("contract", x, y, z, *map(self.labels, (x_only, y_only, shared)))
+
+    def split(self, z: str, x_only, y_only, shared, labels: tuple[str, str] | None) -> TransformStep:
+        """Replace the point z by an adjacent simple pair; x takes z's slot and y a free one."""
+        x_only, y_only, shared = frozenset(x_only), frozenset(y_only), frozenset(shared)
+        at, nbr, verts = self.at, self.nbr, self.verts
+        k = at.get(z)
+        if k is None:
+            raise DomainError(f"unknown vertex {z!r}")
+        px, py, ps = (sum(1 << at[v] for v in part if v in at) for part in (x_only, y_only, shared))
+        if px | py | ps != nbr[k] or len(x_only) + len(y_only) + len(shared) != nbr[k].bit_count():
+            raise DomainError("x_only, y_only, shared must partition the neighbors of z")
+        crossing = [(verts[a], verts[b]) for a in bits(px) for b in bits(nbr[a] & py)]
+        if crossing:
+            raise DomainError(f"edge between exclusive parts {min(crossing)}; split would not be simple")
+        x, y = (self.fresh(), self.fresh()) if labels is None else map(check_label, labels)
+        if x == y:
+            raise DomainError("split labels must differ")
+        for t in (x, y):
+            if t in at:
+                raise DomainError(f"label {t!r} is already a vertex")
+        j = self.spare.pop() if self.spare else len(nbr)
+        if j == len(nbr):  # no freed slot: open a new one
+            verts.append(None)
+            nbr.append(0)
+        for w in bits(py):
+            nbr[w] ^= 1 << k | 1 << j
+        for w in bits(ps):
+            nbr[w] ^= 1 << j
+        nbr[k], nbr[j] = px | ps | 1 << j, py | ps | 1 << k
+        self._drop(z)
+        verts[k], verts[j], at[x], at[y] = x, y, k, j
+        return TransformStep("split", x, y, z, x_only, y_only, shared)
+
+
 def is_simple_pair(g: Graph, x: str, y: str) -> bool:
     """True iff x and y are adjacent and share no induced 4-cycle through the edge."""
-    if not g.has_edge(x, y):
-        raise DomainError(f"no edge between {x!r} and {y!r}")
-    return _is_simple(g.neighbors, x, y)
+    m = _Masks(g)
+    return _simple(m.nbr, *m.edge(x, y))
 
 
 def find_simple_pairs(g: Graph) -> list[tuple[str, str]]:
     """All simple pairs, ascending lexicographic edge order."""
-    return [e for e in g.sorted_edges() if is_simple_pair(g, *e)]
+    m = _Masks(g)
+    return [(x, y) for x, y in g.sorted_edges() if _simple(m.nbr, m.at[x], m.at[y])]
 
 
 @dataclass(frozen=True)
@@ -77,17 +165,15 @@ class TransformStep:
     shared: frozenset[str] | None = None
 
     def apply(self, g: Graph) -> Graph:
-        adj = _adjacency(g)
-        self._apply(adj)
-        return _graph(adj)
+        return TransformLog((self,)).replay(g)
 
-    def _apply(self, adj: dict[str, set[str]]) -> "TransformStep":
+    def _apply(self, m: _Masks) -> "TransformStep":
         if self.kind == "contract":
-            return _contract(adj, self.x, self.y, self.z)
+            return m.contract(self.x, self.y, self.z)
         if self.kind == "split":
             if self.x_only is None or self.y_only is None or self.shared is None:
                 raise DomainError("split step is missing its neighbor partition")
-            return _split(adj, self.z, self.x_only, self.y_only, self.shared, (self.x, self.y))
+            return m.split(self.z, self.x_only, self.y_only, self.shared, (self.x, self.y))
         raise DomainError(f"unknown transform step kind {self.kind!r}")
 
     def inverse(self) -> "TransformStep":
@@ -100,95 +186,28 @@ class TransformStep:
         return TransformStep(kind, self.x, self.y, self.z, self.x_only, self.y_only, self.shared)
 
 
-def _contract(adj: dict[str, set[str]], x: str, y: str, z_label: str | None) -> TransformStep:
-    """Merge the simple pair x, y of `adj` in place into one fresh point."""
-    if y not in adj.get(x, ()):
-        raise DomainError(f"no edge between {x!r} and {y!r}")
-    if not _is_simple(adj.__getitem__, x, y):
-        raise DomainError(f"({x!r}, {y!r}) is not a simple pair")
-    if z_label is None:
-        z = fresh_labels(adj, 1)[0]
-    else:
-        z = check_label(z_label)
-        if z in adj:
-            raise DomainError(f"label {z!r} is already a vertex")
-    ox, oy = adj.pop(x), adj.pop(y)
-    merged = (ox | oy) - {x, y}
-    for w in merged:
-        ns = adj[w]
-        ns.discard(x)
-        ns.discard(y)
-        ns.add(z)
-    adj[z] = merged
-    return TransformStep(
-        "contract", x, y, z, frozenset(ox - oy - {y}), frozenset(oy - ox - {x}), frozenset(ox & oy)
-    )
-
-
 def contract_pair(
     g: Graph, x: str, y: str, z_label: str | None = None
 ) -> tuple[Graph, TransformStep]:
     """Merge a simple pair into one fresh point adjacent to both old neighborhoods."""
-    adj = _adjacency(g)
-    step = _contract(adj, x, y, z_label)
-    return _graph(adj), step
-
-
-def _split(
-    adj: dict[str, set[str]], z: str, x_only, y_only, shared, labels: tuple[str, str] | None
-) -> TransformStep:
-    """Replace the point z of `adj` in place by an adjacent simple pair."""
-    x_only, y_only, shared = frozenset(x_only), frozenset(y_only), frozenset(shared)
-    try:
-        nbrs = adj[z]
-    except KeyError:
-        raise DomainError(f"unknown vertex {z!r}") from None
-    if x_only | y_only | shared != nbrs or len(x_only) + len(y_only) + len(shared) != len(nbrs):
-        raise DomainError("x_only, y_only, shared must partition the neighbors of z")
-    for a in x_only:
-        for b in y_only:
-            if b in adj[a]:
-                raise DomainError(
-                    f"edge between exclusive parts ({a!r}, {b!r}); split would not be simple"
-                )
-    if labels is None:
-        x, y = fresh_labels(adj, 2)
-    else:
-        x, y = (check_label(t) for t in labels)
-        if x == y:
-            raise DomainError("split labels must differ")
-        for t in (x, y):
-            if t in adj:
-                raise DomainError(f"label {t!r} is already a vertex")
-    del adj[z]
-    for w in nbrs:
-        adj[w].discard(z)
-    adj[x] = set(x_only | shared) | {y}
-    adj[y] = set(y_only | shared) | {x}
-    for w in x_only | shared:
-        adj[w].add(x)
-    for w in y_only | shared:
-        adj[w].add(y)
-    return TransformStep("split", x, y, z, x_only, y_only, shared)
+    m = _Masks(g)
+    step = m.contract(x, y, z_label)
+    return m.graph(), step
 
 
 def split_point(
-    g: Graph,
-    z: str,
-    x_only,
-    y_only,
-    shared,
-    labels: tuple[str, str] | None = None,
+    g: Graph, z: str, x_only, y_only, shared, labels: tuple[str, str] | None = None
 ) -> tuple[Graph, TransformStep]:
     """Replace one point by an adjacent simple pair; exact inverse of contraction.
 
     The three sets must partition the neighbors of z, with no edge
     between the x-only and y-only parts (otherwise the result would not
-    be a simple pair and the move would not be reversible).
+    be a simple pair and the move would not be reversible).  An error
+    names the smallest such edge.
     """
-    adj = _adjacency(g)
-    step = _split(adj, z, x_only, y_only, shared, labels)
-    return _graph(adj), step
+    m = _Masks(g)
+    step = m.split(z, x_only, y_only, shared, labels)
+    return m.graph(), step
 
 
 @dataclass(frozen=True)
@@ -198,17 +217,17 @@ class TransformLog:
     steps: tuple[TransformStep, ...]
 
     def replay(self, g: Graph) -> Graph:
-        adj = _adjacency(g)
+        m = _Masks(g)
         for step in self.steps:
-            step._apply(adj)
-        return _graph(adj)
+            step._apply(m)
+        return m.graph()
 
     def invert(self, g: Graph) -> Graph:
         """Undo the whole log starting from its final graph."""
-        adj = _adjacency(g)
+        m = _Masks(g)
         for step in reversed(self.steps):
-            step.inverse()._apply(adj)
-        return _graph(adj)
+            step.inverse()._apply(m)
+        return m.graph()
 
 
 def _edge(u: str, v: str) -> tuple[str, str]:
@@ -223,54 +242,50 @@ def compress(g: Graph) -> tuple[Graph, TransformLog]:
     `live` holds the edges that are simple now; the heap holds each of
     them at least once, so the first live edge popped is the smallest.
     """
-    adj = _adjacency(g)
-    nbrs = adj.__getitem__
-    live = {e for e in g.edges if _is_simple(nbrs, *e)}
+    m = _Masks(g)
+    nbr, verts, at = m.nbr, m.verts, m.at
+    live = {(x, y) for x, y in g.edges if _simple(nbr, at[x], at[y])}
     heap = sorted(live)
     steps: list[TransformStep] = []
     while heap:
         x, y = heapq.heappop(heap)
         if (x, y) not in live:
             continue
-        step = _contract(adj, x, y, None)
+        step = m.contract(x, y, None)
         steps.append(step)
         live.difference_update(_edge(x, w) for w in step.x_only | step.shared | {y})
         live.difference_update(_edge(y, w) for w in step.y_only | step.shared)
-        ball = adj[step.z] | {step.z}
-        for e in {_edge(a, b) for a in ball for b in adj[a]}:
-            if _is_simple(nbrs, *e):
-                if e not in live:
+        k = at[step.z]
+        done = 0  # each edge with an end in the ball is rechecked from its first end next to z
+        for a in bits(nbr[k]):
+            done |= 1 << a
+            for b in bits(nbr[a] & ~done):
+                e = _edge(verts[a], verts[b])
+                if not _simple(nbr, a, b):
+                    live.discard(e)
+                elif e not in live:
                     live.add(e)
                     heapq.heappush(heap, e)
-            else:
-                live.discard(e)
     # a fixpoint comes back as the same object, which saves rebuilding it
-    return (_graph(adj) if steps else g), TransformLog(tuple(steps))
-
-
-def _csv(items: frozenset[str]) -> str:
-    return ",".join(sorted(items))
+    return (m.graph() if steps else g), TransformLog(tuple(steps))
 
 
 def format_log(log: TransformLog) -> str:
     lines = []
     for s in log.steps:
         if s.kind == "contract":
-            lines.append(f"F {s.x} {s.y} -> {s.z}")
+            lines.append(f"F {s.x} {s.y} -> {s.z}\n")
         else:
-            lines.append(
-                f"R {s.z} -> {s.x}|{s.y} "
-                f"xonly={_csv(s.x_only)} yonly={_csv(s.y_only)} shared={_csv(s.shared)}"
-            )
-    return "".join(line + "\n" for line in lines)
+            parts = (",".join(sorted(p)) for p in (s.x_only, s.y_only, s.shared))
+            lines.append("R {} -> {}|{} xonly={} yonly={} shared={}\n".format(s.z, s.x, s.y, *parts))
+    return "".join(lines)
 
 
 def _parse_csv(field: str, name: str, lineno: int) -> frozenset[str]:
     prefix = name + "="
     if not field.startswith(prefix):
         raise DomainError(f"line {lineno}: expected {prefix}..., got {field!r}")
-    body = field[len(prefix):]
-    return frozenset(t for t in body.split(",") if t)
+    return frozenset(t for t in field[len(prefix):].split(",") if t)
 
 
 def parse_log(text: str) -> TransformLog:
@@ -284,17 +299,9 @@ def parse_log(text: str) -> TransformLog:
             steps.append(TransformStep("contract", fields[1], fields[2], fields[4]))
         elif fields[0] == "R" and len(fields) == 7 and fields[2] == "->" and "|" in fields[3]:
             x, _, y = fields[3].partition("|")
-            steps.append(
-                TransformStep(
-                    "split",
-                    x,
-                    y,
-                    fields[1],
-                    _parse_csv(fields[4], "xonly", lineno),
-                    _parse_csv(fields[5], "yonly", lineno),
-                    _parse_csv(fields[6], "shared", lineno),
-                )
-            )
+            names = ("xonly", "yonly", "shared")
+            parts = (_parse_csv(f, name, lineno) for f, name in zip(fields[4:], names))
+            steps.append(TransformStep("split", x, y, fields[1], *parts))
         else:
             raise DomainError(f"line {lineno}: bad transform log line {raw!r}")
     return TransformLog(tuple(steps))
@@ -310,8 +317,7 @@ def separate(m: Graph, s) -> list[frozenset[str]]:
     whole = (1 << len(verts)) - 1
     if not connected(nbr, whole):
         raise DomainError("separate requires a connected graph")
-    rest = whole ^ removed
-    return [frozenset(verts[i] for i in bits(c)) for c in components(nbr, rest)]
+    return [frozenset(verts[i] for i in bits(c)) for c in components(nbr, whole ^ removed)]
 
 
 def propose_isomorphism(g1: Graph, g2: Graph) -> dict[str, str] | None:
@@ -337,9 +343,8 @@ def connected_sum(d1: Disk, d2: Disk, boundary_iso: dict[str, str]) -> Graph:
     and after renaming, the two interiors must not collide with each
     other or with the first disk's labels.
     """
-    if set(boundary_iso) != set(d1.boundary) or set(boundary_iso.values()) != set(d2.boundary):
-        raise DomainError("boundary map must be a bijection between the two boundaries")
-    if len(boundary_iso) != len(d1.boundary):
+    keys, values = set(boundary_iso), set(boundary_iso.values())
+    if keys != d1.boundary or values != d2.boundary or len(values) != len(keys):
         raise DomainError("boundary map must be a bijection between the two boundaries")
     b1 = sorted(d1.boundary)
     for i, u in enumerate(b1):
@@ -347,12 +352,7 @@ def connected_sum(d1: Disk, d2: Disk, boundary_iso: dict[str, str]) -> Graph:
             if d1.graph.has_edge(u, v) != d2.graph.has_edge(boundary_iso[u], boundary_iso[v]):
                 raise DomainError("boundary map is not an isomorphism of the boundary graphs")
     if d2.interior & d1.graph.vertices:
-        raise DomainError(
-            f"interior labels collide: {sorted(d2.interior & d1.graph.vertices)}"
-        )
-    rename = {w: w for w in d2.interior}
-    rename.update({boundary_iso[u]: u for u in d1.boundary})
-    vertices = d1.graph.vertices | d2.interior
-    edges = list(d1.graph.edges)
-    edges.extend((rename[u], rename[v]) for u, v in d2.graph.edges)
-    return Graph(vertices, edges)
+        raise DomainError(f"interior labels collide: {sorted(d2.interior & d1.graph.vertices)}")
+    rename = {w: w for w in d2.interior} | {boundary_iso[u]: u for u in d1.boundary}
+    edges = [*d1.graph.edges, *((rename[u], rename[v]) for u, v in d2.graph.edges)]
+    return Graph(d1.graph.vertices | d2.interior, edges)

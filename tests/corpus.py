@@ -13,8 +13,9 @@ library; they restate the definitions as plainly as possible.
 from functools import cache
 from itertools import combinations, permutations
 
+from digitop import invariants
 from digitop.errors import DomainError
-from digitop.graph import Graph
+from digitop.graph import Graph, check_label, fresh_labels
 from digitop.homotopy import SIZE_CAP, _check_cap
 
 LABELS = tuple("abcdefgh")
@@ -165,3 +166,119 @@ def plain_replay(cert, g: Graph, size_cap: int = SIZE_CAP) -> Graph:
             raise DomainError(f"certificate step deletes non-simple {what}")
         cur = cur.remove((v,)) if step.kind == "dp" else cur.without_edge(u, v)
     return cur
+
+
+# -- unoptimized invariant and transform references ---------------------------
+
+
+def _plain_boundary_rank(rows: dict[tuple[int, ...], int], cols: list[tuple[int, ...]]) -> int:
+    pivots: dict[int, int] = {}
+    rank = 0
+    for simplex in cols:
+        col = 0
+        for k in range(len(simplex)):
+            facet = simplex[:k] + simplex[k + 1 :]
+            col ^= 1 << rows[facet]
+        while col:
+            lead = col.bit_length() - 1
+            other = pivots.get(lead)
+            if other is None:
+                pivots[lead] = col
+                rank += 1
+                break
+            col ^= other
+    return rank
+
+
+def plain_betti(g: Graph) -> list[int]:
+    """Mod-2 Betti numbers with every boundary column reduced: no clearing."""
+    _, nbr = g.bitsets()
+    levels = invariants._clique_lists(nbr, (1 << len(nbr)) - 1, invariants.DEFAULT_CLIQUE_BUDGET)
+    if not levels:
+        return []
+    ranks = [0]  # rank of the boundary map out of dimension k, k >= 1
+    for k in range(1, len(levels)):
+        rows = {s: i for i, s in enumerate(levels[k - 1])}
+        ranks.append(_plain_boundary_rank(rows, levels[k]))
+    ranks.append(0)
+    betti = [len(levels[k]) - ranks[k] - ranks[k + 1] for k in range(len(levels))]
+    while len(betti) > 1 and betti[-1] == 0:
+        betti.pop()
+    return betti
+
+
+def _plain_simple(adj: dict[str, set[str]], x: str, y: str) -> bool:
+    nx, ny = adj[x], adj[y]
+    only_y = ny.difference(nx, (x,))
+    return all(adj[a].isdisjoint(only_y) for a in nx.difference(ny, (y,)))
+
+
+def _plain_contract(adj: dict[str, set[str]], x: str, y: str, z_label: str | None) -> None:
+    if y not in adj.get(x, ()):
+        raise DomainError(f"no edge between {x!r} and {y!r}")
+    if not _plain_simple(adj, x, y):
+        raise DomainError(f"({x!r}, {y!r}) is not a simple pair")
+    if z_label is None:
+        z = fresh_labels(adj, 1)[0]
+    else:
+        z = check_label(z_label)
+        if z in adj:
+            raise DomainError(f"label {z!r} is already a vertex")
+    merged = (adj.pop(x) | adj.pop(y)) - {x, y}
+    for w in merged:
+        adj[w] -= {x, y}
+        adj[w].add(z)
+    adj[z] = merged
+
+
+def _plain_split(adj: dict[str, set[str]], z: str, x_only, y_only, shared, labels) -> None:
+    x_only, y_only, shared = frozenset(x_only), frozenset(y_only), frozenset(shared)
+    try:
+        nbrs = adj[z]
+    except KeyError:
+        raise DomainError(f"unknown vertex {z!r}") from None
+    if x_only | y_only | shared != nbrs or len(x_only) + len(y_only) + len(shared) != len(nbrs):
+        raise DomainError("x_only, y_only, shared must partition the neighbors of z")
+    for a in sorted(x_only):
+        for b in sorted(y_only):
+            if b in adj[a]:
+                raise DomainError(
+                    f"edge between exclusive parts ({a!r}, {b!r}); split would not be simple"
+                )
+    x, y = (check_label(t) for t in labels)
+    if x == y:
+        raise DomainError("split labels must differ")
+    for t in (x, y):
+        if t in adj:
+            raise DomainError(f"label {t!r} is already a vertex")
+    del adj[z]
+    for w in nbrs:
+        adj[w].discard(z)
+    adj[x] = set(x_only | shared) | {y}
+    adj[y] = set(y_only | shared) | {x}
+    for w in x_only | shared:
+        adj[w].add(x)
+    for w in y_only | shared:
+        adj[w].add(y)
+
+
+def plain_log_replay(log, g: Graph, *, invert: bool = False) -> Graph:
+    """Replay (or with invert, undo from its final graph) a transform log on a dict of label sets.
+
+    The moves check in the library's order, and the fresh point of a
+    contraction with no label is the smallest z<k> not in use, probed
+    from z0.  An edge between exclusive parts is named smallest first.
+    """
+    adj = {v: set(g.neighbors(v)) for v in g.vertices}
+    for step in reversed(log.steps) if invert else log.steps:
+        if invert:
+            step = step.inverse()
+        if step.kind == "contract":
+            _plain_contract(adj, step.x, step.y, step.z)
+        elif step.kind == "split":
+            if step.x_only is None or step.y_only is None or step.shared is None:
+                raise DomainError("split step is missing its neighbor partition")
+            _plain_split(adj, step.z, step.x_only, step.y_only, step.shared, (step.x, step.y))
+        else:
+            raise DomainError(f"unknown transform step kind {step.kind!r}")
+    return Graph(adj, ((u, v) for u, ns in adj.items() for v in ns if u < v))

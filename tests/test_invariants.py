@@ -1,6 +1,8 @@
+import random
+
 import pytest
 
-from corpus import connected_graphs
+from corpus import connected_graphs, plain_betti
 from digitop import invariants
 from digitop.errors import CapacityError, DomainError
 from digitop.gallery import gallery
@@ -14,6 +16,7 @@ from digitop.invariants import (
     parse_report,
 )
 from digitop.manifold import minimal_sphere
+from test_transform import digitized_cases
 
 
 def cycle(n: int) -> Graph:
@@ -98,3 +101,16 @@ def test_parse_report_rejects_garbage():
 def test_clique_budget():
     with pytest.raises(CapacityError):
         clique_counts(complete(16), budget=1000)
+
+
+def test_clearing_matches_plain_ranks():
+    rng = random.Random(11)
+    graphs = list(connected_graphs(7)) + [complete(n) for n in range(2, 13)]
+    for _ in range(300):
+        labels = [f"g{i}" for i in range(rng.randint(1, 11))]
+        p = rng.uniform(0.1, 0.95)
+        pairs = [(a, b) for i, a in enumerate(labels) for b in labels[i + 1:]]
+        graphs.append(Graph(labels, [e for e in pairs if rng.random() < p]))
+    graphs += digitized_cases()
+    for g in graphs:
+        assert betti_numbers(g) == plain_betti(g), g.sorted_edges()

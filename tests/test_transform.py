@@ -1,15 +1,21 @@
+import os
 import random
+import subprocess
+import sys
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 
-from corpus import connected_graphs, has_induced_c4_through
-from digitop.digitize import Circle, CubeSurface, SphereSurface, digitize
+from corpus import connected_graphs, has_induced_c4_through, plain_log_replay
+from digitop.digitize import Circle, CubeSurface, SphereSurface, digitize, parse_shape
 from digitop.errors import DomainError
 from digitop.gallery import gallery, gallery_names
 from digitop.graph import Graph
-from digitop.manifold import is_disk, minimal_sphere, sphere_dimension
+from digitop.manifold import classify, is_disk, minimal_sphere, sphere_dimension
 from digitop.transform import (
+    TransformLog,
+    TransformStep,
     compress,
     connected_sum,
     contract_pair,
@@ -195,15 +201,45 @@ def reference_compress(g: Graph) -> tuple[Graph, str]:
     return Graph(adj, [(u, v) for u in adj for v in adj[u] if u < v]), "".join(lines)
 
 
+def digitized_cases():
+    for offset in ((0.23, 0.31, 0.17), (0.61, 0.05, 0.42)):
+        yield digitize(Circle(offset[:2], 3.0), 0.5).graph
+        yield digitize(SphereSurface(offset, 2.0), 1.0).graph
+        yield digitize(CubeSurface(offset, 2.0), 1.0).graph
+    # the largest models of the benchmark's pipeline workload
+    yield digitize(SphereSurface((0.23, 0.31, 0.17), 2.5), 1.0).graph
+    yield digitize(SphereSurface((0.23, 0.31, 0.17), 3.0), 1.0).graph
+    yield digitize(CubeSurface((0.23, 0.31, 0.17), 2.0), 0.5).graph
+    yield digitize(parse_shape("implicit:(x-0.23)**2+(y-0.31)**2+(z-0.17)**2-4"), 1.0).graph
+
+
+Z_LABELS = ("z0", "z2", "z10", "z01", "z", "zz")
+
+
+def z_labelled_cases():
+    """Inputs that already hold z<k> and z-like labels, so fresh labels skip some numbers
+    and sorted label order differs from the numbers' order."""
+    rng = random.Random(5)
+    graphs = [g for g in connected_graphs(7) if g.vertex_count >= 6][::20]
+    graphs.append(digitize(Circle((0.23, 0.31), 3.0), 0.5).graph)
+    for g in graphs:
+        rename = dict(zip(rng.sample(g.sorted_vertices(), 6), Z_LABELS))
+        edges = [(rename.get(u, u), rename.get(v, v)) for u, v in g.edges]
+        yield Graph([rename.get(v, v) for v in g.vertices], edges)
+
+
 def equivalence_cases():
     for g in connected_graphs(7):
         yield g
     for name in gallery_names():
         yield gallery(name)
-    for offset in ((0.23, 0.31, 0.17), (0.61, 0.05, 0.42)):
-        yield digitize(Circle(offset[:2], 3.0), 0.5).graph
-        yield digitize(SphereSurface(offset, 2.0), 1.0).graph
-        yield digitize(CubeSurface(offset, 2.0), 1.0).graph
+    yield from z_labelled_cases()
+    yield from digitized_cases()
+
+
+def test_compressed_digitized_models_classify():
+    for g in digitized_cases():
+        classify(compress(g)[0])
 
 
 def test_compress_matches_plain_reference():
@@ -221,6 +257,147 @@ def test_compress_matches_plain_reference():
             reissued += step.z in freed
             freed |= {step.x, step.y}
     assert reissued
+
+
+def test_compress_replay_and_invert_build_one_graph(monkeypatch):
+    g = digitize(Circle((0.23, 0.31), 3.0), 0.5).graph
+    built = []
+    init = Graph.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Graph, "__init__", counted)
+    comp, log = compress(g)
+    replayed, inverted = log.replay(g), log.invert(comp)
+    assert built == [comp, replayed, inverted]
+    assert log.steps and replayed == comp and inverted == g
+
+
+LOG_LABELS = ("a", "b", "c", "d", "e", "v10", "v2", "z", "z0", "z1", "z2", "z10", "z01", "zz")
+
+
+def random_parts(rng: random.Random, g: Graph, z: str) -> tuple[set, set, set]:
+    parts: tuple[set, set, set] = (set(), set(), set())
+    for w in g.neighbors(z):
+        rng.choice(parts).add(w)
+    return parts
+
+
+def valid_move(rng: random.Random, g: Graph) -> tuple[TransformStep, Graph] | None:
+    """A contraction of a simple pair or a simple split of g, and the graph it leaves."""
+    free = [t for t in LOG_LABELS if t not in g]
+    pairs = find_simple_pairs(g)
+    if pairs and rng.random() < 0.6:
+        x, y = rng.choice(pairs)
+        z = rng.choice([None, None, *free])
+        h, step = contract_pair(g, x, y, z)
+        if z is None and rng.random() < 0.5:
+            step = TransformStep("contract", x, y, None)  # picks its fresh point again on replay
+        return step, h
+    if g.vertex_count == 0 or len(free) < 2:
+        return None
+    z = rng.choice(g.sorted_vertices())
+    for _ in range(5):
+        x_only, y_only, shared = random_parts(rng, g, z)
+        if not any(g.has_edge(a, b) for a in x_only for b in y_only):
+            return split_point(g, z, x_only, y_only, shared, tuple(rng.sample(free, 2)))[::-1]
+    return None
+
+
+def forged_move(rng: random.Random, g: Graph) -> TransformStep:
+    """A step that may name an unknown label or a taken one, a missing edge, a non-simple
+    pair, a bad label, a bad partition or an edge between the exclusive parts."""
+    verts = g.sorted_vertices() + ["q9"]
+    x, y, z = rng.choice(verts), rng.choice(verts), rng.choice(verts + ["a b", "", "z3"])
+    if rng.random() < 0.5:
+        edges = g.sorted_edges()
+        if edges and rng.random() < 0.7:
+            x, y = rng.choice(edges)
+        return TransformStep("contract", x, y, rng.choice([z, None]))
+    parts = random_parts(rng, g, z) if z in g else (set(), set(), set())
+    if rng.random() < 0.3:
+        rng.choice(parts).add(rng.choice(verts))
+    labels = rng.choice([(x, y), tuple(rng.sample(LOG_LABELS, 2)), ("m", "m")])
+    return TransformStep("split", *labels, z, *map(frozenset, parts))
+
+
+LOG_FAILURES = (
+    "unknown vertex",
+    "no edge",
+    "not a simple pair",
+    "already a vertex",
+    "bad vertex label",
+    "must partition",
+    "edge between exclusive parts",
+    "labels must differ",
+    "carries no neighbor partition",
+)
+
+
+def log_outcome(run):
+    try:
+        return run()
+    except DomainError as exc:
+        return type(exc), str(exc)
+
+
+def test_log_replay_and_invert_agree_with_plain_replay_on_random_logs():
+    """Replay and invert on masks give the graph, or the exception and its message,
+    that replay on a dict of label sets gives."""
+    rng = random.Random(13)
+    outcomes: dict[str, int] = {}
+    for _ in range(2000):
+        labels = rng.sample(LOG_LABELS, rng.randint(1, 9))
+        p = rng.uniform(0.2, 0.9)
+        g = cur = Graph(labels, [e for e in combinations(labels, 2) if rng.random() < p])
+        steps = []
+        for _ in range(rng.randint(0, 8)):
+            found = valid_move(rng, cur) if rng.random() < 0.85 else None
+            if found is None:
+                steps.append(forged_move(rng, cur))
+                break
+            steps.append(found[0])
+            cur = found[1]
+        log = TransformLog(tuple(steps))
+        want = log_outcome(lambda: plain_log_replay(log, g))
+        assert log_outcome(lambda: log.replay(g)) == want, (g.sorted_edges(), steps)
+        end = want if isinstance(want, Graph) else g
+        want_back = log_outcome(lambda: plain_log_replay(log, end, invert=True))
+        assert log_outcome(lambda: log.invert(end)) == want_back, (g.sorted_edges(), steps)
+        for kind, out in (("replayed", want), ("inverted", want_back)):
+            if not isinstance(out, Graph):
+                kind = next(k for k in LOG_FAILURES if k in out[1])
+            outcomes[kind] = outcomes.get(kind, 0) + 1
+    assert outcomes["replayed"] >= 1000 and outcomes["inverted"] >= 500, outcomes
+    assert set(outcomes) == {"replayed", "inverted", *LOG_FAILURES}, outcomes
+
+
+SPLIT_CROSSING = """
+from digitop import DomainError, Graph, split_point
+a, b = ("a1", "a2", "a3"), ("b1", "b2", "b3")
+cross = [("a1", "b2"), ("a2", "b1"), ("a2", "b3"), ("a3", "b3")]
+g = Graph(("z", *a, *b), [("z", v) for v in a + b] + cross)
+try:
+    split_point(g, "z", a, b, ())
+except DomainError as exc:
+    print(exc)
+"""
+
+
+def test_split_names_the_smallest_exclusive_edge_under_every_hash_seed():
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
+    outputs = set()
+    for seed in range(4):
+        proc = subprocess.run(
+            [sys.executable, "-c", SPLIT_CROSSING],
+            capture_output=True, text=True, env={**env, "PYTHONHASHSEED": str(seed)},
+            timeout=120, check=False,
+        )
+        assert proc.returncode == 0, proc.stderr
+        outputs.add(proc.stdout)
+    assert outputs == {"edge between exclusive parts ('a1', 'b2'); split would not be simple\n"}
 
 
 def test_log_text_round_trip():
@@ -296,6 +473,9 @@ def test_connected_sum_relabels_second_interior():
         connected_sum(d1, d2, {"a": "c", "b": "c"})  # not a bijection
     with pytest.raises(DomainError):
         connected_sum(d1, d1, {"a": "a", "b": "b"})  # interiors collide
+    one_end = Disk(Graph("sc", [("s", "c")]), frozenset("c"), frozenset("s"), 1)
+    with pytest.raises(DomainError, match="bijection"):
+        connected_sum(d1, one_end, {"a": "c", "b": "c"})  # onto, but not one-to-one
 
 
 def test_propose_isomorphism():

@@ -1,0 +1,70 @@
+"""Print sha256 prefixes of digitop's observable outputs, to show two checkouts agree byte for byte.
+
+Run from any directory:
+
+    python3 tools/digests.py
+
+The script reruns itself under PYTHONHASHSEED=0 and prints one
+`name: prefix` line per output:
+
+- `verify`: stdout of `digitop verify`;
+- `demo NN`: stdout of each script in `demos/`;
+- `pipeline logs`: `format_log` and `format_graph` of `compress` on the
+  benchmark's 19 pipeline shapes (`bench/workloads.py`) at seeds 0-9;
+- `pipeline reports`: `format_report` of each of those models and of
+  its compressed graph;
+- `forms`: `canonical_form` of every graph in `tests/corpus.py`'s
+  `all_graphs(6)`.
+
+It imports the package, the corpus and the workloads from the checkout
+it lives in, so a copy of this file placed in another checkout digests
+that checkout.
+"""
+
+import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def digest(data) -> str:
+    if isinstance(data, str):
+        data = data.encode()
+    return hashlib.sha256(data).hexdigest()[:16]
+
+
+def main() -> None:
+    for sub in ("src", "tests", "bench"):
+        sys.path.insert(0, str(ROOT / sub))
+    import digitop
+    from corpus import all_graphs
+    from digitop.cli import run
+    from workloads import Pipeline
+
+    print(f"verify: {digest(run(['verify']).stdout)}")
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    for demo in sorted((ROOT / "demos").glob("*.py")):
+        out = subprocess.run(
+            [sys.executable, str(demo)], capture_output=True, env=env, check=True, timeout=600
+        ).stdout
+        print(f"demo {demo.name[:2]}: {digest(out)}")
+    logs, reports = [], []
+    for seed in range(10):
+        for _, text, length, _ in Pipeline(seed).shapes:
+            model = digitop.digitize(digitop.parse_shape(text), length).graph
+            small, log = digitop.compress(model)
+            logs += [digitop.format_log(log), digitop.format_graph(small)]
+            reports += [digitop.format_report(digitop.invariant_report(g)) for g in (model, small)]
+    print(f"pipeline logs: {digest(''.join(logs))}")
+    print(f"pipeline reports: {digest(''.join(reports))}")
+    print(f"forms: {digest(b''.join(g.canonical_form() for g in all_graphs(6)))}")
+
+
+if __name__ == "__main__":
+    if os.environ.get("PYTHONHASHSEED") != "0":
+        env = {**os.environ, "PYTHONHASHSEED": "0"}
+        sys.exit(subprocess.run([sys.executable, __file__, *sys.argv[1:]], env=env).returncode)
+    main()
