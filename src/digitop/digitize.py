@@ -169,13 +169,13 @@ def cube_label(index: tuple[int, ...]) -> str:
 
 def cube_graph(cubes) -> Graph:
     """Intersection graph of closed grid cubes: adjacency is Chebyshev distance 1."""
-    cubes = set(cubes)
+    label = {c: cube_label(c) for c in cubes}
     edges = []
-    for c in cubes:
+    for c, name in label.items():
         for other in product(*((x - 1, x, x + 1) for x in c)):
-            if other in cubes and other > c:
-                edges.append((cube_label(c), cube_label(other)))
-    return Graph((cube_label(c) for c in cubes), edges)
+            if other > c and other in label:
+                edges.append((name, label[other]))
+    return Graph(label.values(), edges)
 
 
 # -- per-shape cube tests ----------------------------------------------------

@@ -24,7 +24,8 @@ from .errors import DomainError
 def check_label(label: object) -> str:
     if not isinstance(label, str):
         raise DomainError(f"vertex label must be a string, got {type(label).__name__}")
-    if not label or not label.isprintable() or any(c.isspace() for c in label):
+    # isprintable() is False for every isspace() character except " " (a test pins this)
+    if not label or not label.isprintable() or " " in label:
         raise DomainError(f"bad vertex label: {label!r}")
     return label
 

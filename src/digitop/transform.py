@@ -11,10 +11,19 @@ lexicographically smallest simple pair until none remains.
 Every move edits one graph's neighbour masks (see `graph`) in place: a
 merged point takes x's slot, and a split gives x the slot of z and y a
 freed one.  A fresh point gets the smallest unused z<k>, from a heap of
-free numbers.  After each merge, compression rechecks only the edges
-with an endpoint in the merged point's closed neighborhood: no other
-edge sees a change in its endpoints' neighborhoods or in the edges
-among them.  A log replays or inverts on one set of masks.
+free numbers.  A log replays or inverts on one set of masks.
+
+An edge (a, b) is simple iff no edge joins A = N(a) - N[b] and B = N(b) - N[a].
+When compression merges (x, y) into z, call z's x-only, y-only and shared
+neighbours X, Y and S, and every other point O.  Each edge left is rechecked so:
+
+  edges                    why                                             recheck
+  at z                     all were dropped with x and y                   full test
+  S-X, S-Y                 the S end lost y (x), so its A only shrinks     full test, if not simple
+  X-O, Y-O                 z stands for x (y) in A, seeing Y (X) as well   drop if the O end sees Y (X)
+  X-X, Y-Y, S-S, S-O, O-O  A, B and their edges are the same; for S-O,     none
+                           z's edges into B are x's plus y's
+  X-Y                      none exist, since the pair was simple           -
 """
 
 from __future__ import annotations
@@ -34,9 +43,11 @@ def _simple(nbr: list[int], i: int, j: int) -> bool:
     only_i, only_j = (ni & ~nj) ^ (1 << j), (nj & ~ni) ^ (1 << i)
     if only_i.bit_count() > only_j.bit_count():
         only_i, only_j = only_j, only_i
-    for a in bits(only_i):
+    while only_i:
+        a = only_i.bit_length() - 1
         if nbr[a] & only_j:
             return False
+        only_i ^= 1 << a
     return True
 
 
@@ -80,8 +91,9 @@ class _Masks:
         edges = ((v, verts[j]) for v, i in self.at.items() for j in bits(nbr[i]) if i < j)
         return Graph(self.at, edges)
 
-    def contract(self, x: str, y: str, z_label: str | None) -> TransformStep:
-        """Merge the simple pair x, y into one fresh point, which takes x's slot."""
+    def contract(self, x: str, y: str, z_label: str | None) -> tuple[str, int, int, int]:
+        """Merge the simple pair x, y into one point, which takes x's slot; return it and
+        the masks of its x-only, y-only and shared neighbours."""
         i, j = self.edge(x, y)
         nbr = self.nbr
         if not _simple(nbr, i, j):
@@ -98,9 +110,9 @@ class _Masks:
         self._drop(y)
         self.spare.append(j)
         self.verts[i], self.at[z] = z, i
-        return TransformStep("contract", x, y, z, *map(self.labels, (x_only, y_only, shared)))
+        return z, x_only, y_only, shared
 
-    def split(self, z: str, x_only, y_only, shared, labels: tuple[str, str] | None) -> TransformStep:
+    def split(self, z: str, x_only, y_only, shared, labels: tuple[str, str] | None) -> tuple[str, str]:
         """Replace the point z by an adjacent simple pair; x takes z's slot and y a free one."""
         x_only, y_only, shared = frozenset(x_only), frozenset(y_only), frozenset(shared)
         at, nbr, verts = self.at, self.nbr, self.verts
@@ -110,9 +122,10 @@ class _Masks:
         px, py, ps = (sum(1 << at[v] for v in part if v in at) for part in (x_only, y_only, shared))
         if px | py | ps != nbr[k] or len(x_only) + len(y_only) + len(shared) != nbr[k].bit_count():
             raise DomainError("x_only, y_only, shared must partition the neighbors of z")
-        crossing = [(verts[a], verts[b]) for a in bits(px) for b in bits(nbr[a] & py)]
-        if crossing:
-            raise DomainError(f"edge between exclusive parts {min(crossing)}; split would not be simple")
+        for a in bits(px):
+            if nbr[a] & py:
+                crossing = min((verts[u], verts[v]) for u in bits(px) for v in bits(nbr[u] & py))
+                raise DomainError(f"edge between exclusive parts {crossing}; split would not be simple")
         x, y = (self.fresh(), self.fresh()) if labels is None else map(check_label, labels)
         if x == y:
             raise DomainError("split labels must differ")
@@ -130,7 +143,7 @@ class _Masks:
         nbr[k], nbr[j] = px | ps | 1 << j, py | ps | 1 << k
         self._drop(z)
         verts[k], verts[j], at[x], at[y] = x, y, k, j
-        return TransformStep("split", x, y, z, x_only, y_only, shared)
+        return x, y
 
 
 def is_simple_pair(g: Graph, x: str, y: str) -> bool:
@@ -167,14 +180,15 @@ class TransformStep:
     def apply(self, g: Graph) -> Graph:
         return TransformLog((self,)).replay(g)
 
-    def _apply(self, m: _Masks) -> "TransformStep":
+    def _apply(self, m: _Masks) -> None:
         if self.kind == "contract":
-            return m.contract(self.x, self.y, self.z)
-        if self.kind == "split":
+            m.contract(self.x, self.y, self.z)
+        elif self.kind == "split":
             if self.x_only is None or self.y_only is None or self.shared is None:
                 raise DomainError("split step is missing its neighbor partition")
-            return m.split(self.z, self.x_only, self.y_only, self.shared, (self.x, self.y))
-        raise DomainError(f"unknown transform step kind {self.kind!r}")
+            m.split(self.z, self.x_only, self.y_only, self.shared, (self.x, self.y))
+        else:
+            raise DomainError(f"unknown transform step kind {self.kind!r}")
 
     def inverse(self) -> "TransformStep":
         if self.x_only is None or self.y_only is None or self.shared is None:
@@ -191,8 +205,8 @@ def contract_pair(
 ) -> tuple[Graph, TransformStep]:
     """Merge a simple pair into one fresh point adjacent to both old neighborhoods."""
     m = _Masks(g)
-    step = m.contract(x, y, z_label)
-    return m.graph(), step
+    z, *parts = m.contract(x, y, z_label)
+    return m.graph(), TransformStep("contract", x, y, z, *map(m.labels, parts))
 
 
 def split_point(
@@ -206,8 +220,8 @@ def split_point(
     names the smallest such edge.
     """
     m = _Masks(g)
-    step = m.split(z, x_only, y_only, shared, labels)
-    return m.graph(), step
+    x, y = m.split(z, x_only, y_only, shared, labels)
+    return m.graph(), TransformStep("split", x, y, z, *map(frozenset, (x_only, y_only, shared)))
 
 
 @dataclass(frozen=True)
@@ -241,6 +255,8 @@ def compress(g: Graph) -> tuple[Graph, TransformLog]:
     replays the exact contraction sequence, fresh labels included.
     `live` holds the edges that are simple now; the heap holds each of
     them at least once, so the first live edge popped is the smallest.
+    After each merge, only the edges that the module docstring's table
+    names are rechecked.
     """
     m = _Masks(g)
     nbr, verts, at = m.nbr, m.verts, m.at
@@ -251,21 +267,27 @@ def compress(g: Graph) -> tuple[Graph, TransformLog]:
         x, y = heapq.heappop(heap)
         if (x, y) not in live:
             continue
-        step = m.contract(x, y, None)
-        steps.append(step)
-        live.difference_update(_edge(x, w) for w in step.x_only | step.shared | {y})
-        live.difference_update(_edge(y, w) for w in step.y_only | step.shared)
-        k = at[step.z]
-        done = 0  # each edge with an end in the ball is rechecked from its first end next to z
-        for a in bits(nbr[k]):
-            done |= 1 << a
-            for b in bits(nbr[a] & ~done):
-                e = _edge(verts[a], verts[b])
-                if not _simple(nbr, a, b):
-                    live.discard(e)
-                elif e not in live:
-                    live.add(e)
-                    heapq.heappush(heap, e)
+        z, px, py, ps = m.contract(x, y, None)
+        steps.append(TransformStep("contract", x, y, z, *map(m.labels, (px, py, ps))))
+        live.discard((x, y))
+        live.difference_update(_edge(x, verts[w]) for w in bits(px | ps))
+        live.difference_update(_edge(y, verts[w]) for w in bits(py | ps))
+        k = at[z]
+        tests = [(k, b) for b in bits(nbr[k])]  # full tests: at z, then S-X and S-Y
+        tests += [(a, b) for a in bits(ps) for b in bits(nbr[a] & (px | py))]
+        for a, b in tests:
+            e = _edge(verts[a], verts[b])
+            if e not in live and _simple(nbr, a, b):
+                live.add(e)
+                heapq.heappush(heap, e)
+        sees_x = sees_y = 0
+        for w in bits(px):
+            sees_x |= nbr[w]
+        for w in bits(py):
+            sees_y |= nbr[w]
+        for b in bits(sees_x & sees_y & ~(nbr[k] | 1 << k)):  # O points that see X and Y
+            for a in bits(nbr[b] & (px | py)):
+                live.discard(_edge(verts[a], verts[b]))
     # a fixpoint comes back as the same object, which saves rebuilding it
     return (m.graph() if steps else g), TransformLog(tuple(steps))
 

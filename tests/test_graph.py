@@ -44,7 +44,16 @@ def test_label_validation():
     with pytest.raises(DomainError):
         Graph(["a\t"], [])
     with pytest.raises(DomainError):
+        Graph(["a\u3000b"], [])  # ideographic space
+    with pytest.raises(DomainError):
         Graph([3], [])  # type: ignore[list-item]
+
+
+def test_space_is_the_only_printable_whitespace():
+    """check_label refuses whitespace by testing for " " after isprintable(); that is
+    exact only while no other isspace() character is printable."""
+    printable = [c for c in map(chr, range(sys.maxunicode + 1)) if c.isspace() and c.isprintable()]
+    assert printable == [" "]
 
 
 def test_edge_validation():

@@ -1,3 +1,4 @@
+import hashlib
 import os
 import random
 import subprocess
@@ -11,7 +12,7 @@ from corpus import connected_graphs, has_induced_c4_through, plain_log_replay
 from digitop.digitize import Circle, CubeSurface, SphereSurface, digitize, parse_shape
 from digitop.errors import DomainError
 from digitop.gallery import gallery, gallery_names
-from digitop.graph import Graph
+from digitop.graph import Graph, format_graph
 from digitop.manifold import classify, is_disk, minimal_sphere, sphere_dimension
 from digitop.transform import (
     TransformLog,
@@ -228,12 +229,21 @@ def z_labelled_cases():
         yield Graph([rename.get(v, v) for v in g.vertices], edges)
 
 
+def dense_random_cases():
+    """Seeded G(n, p) whose large shared neighbourhoods make every case of
+    compress's recheck table occur."""
+    rng = random.Random(8)
+    for k in range(200):
+        yield random_graph(rng, rng.randint(8, 14), (0.3, 0.5, 0.7)[k % 3])
+
+
 def equivalence_cases():
     for g in connected_graphs(7):
         yield g
     for name in gallery_names():
         yield gallery(name)
     yield from z_labelled_cases()
+    yield from dense_random_cases()
     yield from digitized_cases()
 
 
@@ -257,6 +267,19 @@ def test_compress_matches_plain_reference():
             reissued += step.z in freed
             freed |= {step.x, step.y}
     assert reissued
+
+
+def test_compress_output_on_the_pipeline_shapes_is_pinned(monkeypatch):
+    """Logs and compressed graphs of the benchmark's 19 pipeline shapes at seeds 0-2, byte for byte."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "bench"))
+    from workloads import Pipeline
+
+    out = []
+    for seed in range(3):
+        for _, text, length, _ in Pipeline(seed).shapes:
+            small, log = compress(digitize(parse_shape(text), length).graph)
+            out += [format_log(log), format_graph(small)]
+    assert hashlib.sha256("".join(out).encode()).hexdigest()[:16] == "f2acceff1220a1ef"
 
 
 def test_compress_replay_and_invert_build_one_graph(monkeypatch):
