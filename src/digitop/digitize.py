@@ -256,7 +256,7 @@ def _implicit_cubes(shape: ImplicitSurface, L: float, depth: int, budget: int):
             "implicit sampling lattice too large; lower the bound or depth, or raise edge length"
         )
     axis = np.linspace(lo_idx * L, hi_idx * L, samples)
-    grids = np.meshgrid(*([axis] * shape.dim), indexing="ij")
+    grids = np.meshgrid(*([axis] * shape.dim), indexing="ij", sparse=True)
     env = {name: getattr(np, name) for name in _FUNCTIONS}
     env.update(_CONSTANTS)
     env.update(zip(_VARIABLES, grids))
@@ -264,7 +264,7 @@ def _implicit_cubes(shape: ImplicitSurface, L: float, depth: int, budget: int):
         values = eval(code, {"__builtins__": {}}, env)  # syntax vetted by _vet_implicit
     except Exception as exc:
         raise DomainError(f"implicit expression failed to evaluate: {exc}") from None
-    lo_block = hi_block = np.broadcast_to(np.asarray(values, dtype=float), grids[0].shape)
+    lo_block = hi_block = np.broadcast_to(np.asarray(values, dtype=float), (samples,) * shape.dim)
     for ax in range(shape.dim):
         win_lo = np.lib.stride_tricks.sliding_window_view(lo_block, step + 1, axis=ax)
         win_hi = np.lib.stride_tricks.sliding_window_view(hi_block, step + 1, axis=ax)

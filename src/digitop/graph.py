@@ -6,8 +6,11 @@ forms.  Every operator returns a new graph, and subgraphs are always
 induced: there is no way to keep a vertex while dropping one of its
 edges short of building a fresh graph explicitly.
 
-The exponential layers build no graphs: an induced subgraph is an `int`
-mask over one graph's `bitsets()`, whose indices follow sorted label
+A `Graph` stores only its labels, ascending, each mapped to its position,
+and per position the `int` mask of its neighbours' positions.  The public
+constructor checks labels and edges; `from_masks` is the one internal
+builder.  The exponential layers build no graphs: an induced subgraph is an
+`int` mask over one graph's `bitsets()`, whose indices follow sorted label
 order.  A rim is `nbr[i] & mask`, deleting a point clears its bit,
 deleting an edge clears one bit in each end's entry of `nbr`, and
 `components` is the one connectivity routine, for masks and graphs.
@@ -16,7 +19,7 @@ deleting an edge clears one bit in each end's entry of `nbr`, and
 
 from __future__ import annotations
 
-from collections.abc import Container, Iterable, Iterator
+from collections.abc import Container, Iterable, Iterator, Sequence
 
 from .errors import DomainError
 
@@ -33,85 +36,77 @@ def check_label(label: object) -> str:
 class Graph:
     """A finite simple undirected graph used as an immutable value object."""
 
-    __slots__ = ("_adj", "_edges", "_hash")
+    __slots__ = ("_at", "_nbr", "_hash")
 
     def __init__(self, vertices: Iterable[str] = (), edges: Iterable[tuple[str, str]] = ()):
-        adj: dict[str, set[str]] = {}
-        for v in vertices:
-            check_label(v)
-            adj.setdefault(v, set())
-        pairs: set[tuple[str, str]] = set()
+        at = {v: i for i, v in enumerate(sorted({check_label(v) for v in vertices}))}
+        nbr = [0] * len(at)
         for u, v in edges:
             if u == v:
                 raise DomainError(f"self-loop at {u!r}")
-            if u not in adj:
+            i, j = at.get(u), at.get(v)
+            if i is None:
                 raise DomainError(f"edge endpoint {u!r} is not a declared vertex")
-            if v not in adj:
+            if j is None:
                 raise DomainError(f"edge endpoint {v!r} is not a declared vertex")
-            pairs.add((u, v) if u < v else (v, u))
-            adj[u].add(v)
-            adj[v].add(u)
-        self._adj: dict[str, frozenset[str]] = {v: frozenset(ns) for v, ns in adj.items()}
-        self._edges = frozenset(pairs)
+            nbr[i] |= 1 << j
+            nbr[j] |= 1 << i
+        self._at: dict[str, int] = at  # label -> position, in ascending label order
+        self._nbr: tuple[int, ...] = tuple(nbr)  # position -> mask of its neighbours' positions
         self._hash: int | None = None
 
     # -- basic queries -------------------------------------------------
 
     @property
     def vertices(self) -> frozenset[str]:
-        return frozenset(self._adj)
+        return frozenset(self._at)
 
     @property
     def edges(self) -> frozenset[tuple[str, str]]:
-        return self._edges
+        return frozenset(self.sorted_edges())
 
     @property
     def vertex_count(self) -> int:
-        return len(self._adj)
+        return len(self._at)
 
     @property
     def edge_count(self) -> int:
-        return len(self._edges)
+        return sum(m.bit_count() for m in self._nbr) // 2
 
     def __contains__(self, label: str) -> bool:
-        return label in self._adj
+        return label in self._at
 
     def has_edge(self, u: str, v: str) -> bool:
-        return v in self._adj.get(u, ())
+        i, j = self._at.get(u), self._at.get(v)
+        return i is not None and j is not None and self._nbr[i] >> j & 1 == 1
 
     def neighbors(self, v: str) -> frozenset[str]:
         try:
-            return self._adj[v]
+            i = self._at[v]
         except KeyError:
             raise DomainError(f"unknown vertex {v!r}") from None
+        labels = list(self._at)
+        return frozenset(labels[j] for j in bits(self._nbr[i]))
 
     def degree(self, v: str) -> int:
         return len(self.neighbors(v))
 
     def sorted_vertices(self) -> list[str]:
-        return sorted(self._adj)
+        return list(self._at)
 
     def sorted_edges(self) -> list[tuple[str, str]]:
-        return sorted(self._edges)
+        labels = list(self._at)
+        return [(u, labels[j]) for i, u in enumerate(labels) for j in bits(self._nbr[i]) if j > i]
 
     def bitsets(self) -> tuple[list[str], list[int]]:
         """Sorted labels and, for each, the mask of its neighbours' positions in that list."""
-        verts = self.sorted_vertices()
-        index = {v: i for i, v in enumerate(verts)}
-        nbr = [0] * len(verts)
-        for u, v in self._edges:
-            iu, iv = index[u], index[v]
-            nbr[iu] |= 1 << iv
-            nbr[iv] |= 1 << iu
-        return verts, nbr
+        return list(self._at), list(self._nbr)
 
     # -- structural operators ------------------------------------------
 
     def induced(self, keep: Iterable[str]) -> "Graph":
         """Induced subgraph on the given vertices."""
-        keep = set(keep)
-        check_known(keep, self._adj)
-        return Graph(keep, ((u, v) for u, v in self._edges if u in keep and v in keep))
+        return from_masks(list(self._at), self._nbr, mask_of(self, keep))
 
     def rim(self, v: str) -> "Graph":
         """Induced subgraph on the neighbors of v (v itself excluded)."""
@@ -123,26 +118,24 @@ class Graph:
 
     def remove(self, drop: Iterable[str]) -> "Graph":
         """Induced subgraph on the complement of the given vertex set."""
-        drop = set(drop)
-        check_known(drop, self._adj)
-        return self.induced(set(self._adj) - drop)
+        whole = (1 << len(self._nbr)) - 1
+        return from_masks(list(self._at), self._nbr, whole ^ mask_of(self, drop))
 
     def without_edge(self, u: str, v: str) -> "Graph":
         """Same vertices with one edge removed.  Not a subgraph operator."""
         if not self.has_edge(u, v):
             raise DomainError(f"no edge between {u!r} and {v!r}")
         gone = (u, v) if u < v else (v, u)
-        return Graph(self._adj, (e for e in self._edges if e != gone))
+        return Graph(self._at, (e for e in self.sorted_edges() if e != gone))
 
     def join(self, other: "Graph") -> "Graph":
         """Disjoint union plus every edge between the two vertex sets."""
         overlap = self.vertices & other.vertices
         if overlap:
             raise DomainError(f"join requires disjoint labels, shared: {sorted(overlap)}")
-        vertices = list(self._adj) + list(other._adj)
-        edges = list(self._edges) + list(other._edges)
-        edges.extend((u, v) for u in self._adj for v in other._adj)
-        return Graph(vertices, edges)
+        edges = self.sorted_edges() + other.sorted_edges()
+        edges.extend((u, v) for u in self._at for v in other._at)
+        return Graph([*self._at, *other._at], edges)
 
     def common_neighbors(self, u: str, v: str) -> frozenset[str]:
         return self.neighbors(u) & self.neighbors(v)
@@ -155,8 +148,7 @@ class Graph:
         return [frozenset(verts[i] for i in bits(c)) for c in components(nbr, (1 << len(verts)) - 1)]
 
     def is_connected(self) -> bool:
-        _, nbr = self.bitsets()
-        return connected(nbr, (1 << len(nbr)) - 1)
+        return connected(self._nbr, (1 << len(self._nbr)) - 1)
 
     # -- identity -------------------------------------------------------
 
@@ -164,8 +156,7 @@ class Graph:
         """Label-invariant certificate; equal bytes iff isomorphic graphs."""
         from .canon import canonical_form
 
-        _, nbr = self.bitsets()
-        return canonical_form(nbr, (1 << len(nbr)) - 1)
+        return canonical_form(self._nbr, (1 << len(self._nbr)) - 1)
 
     def is_isomorphic_to(self, other: "Graph") -> bool:
         if self.vertex_count != other.vertex_count or self.edge_count != other.edge_count:
@@ -175,15 +166,27 @@ class Graph:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Graph):
             return NotImplemented
-        return self._adj.keys() == other._adj.keys() and self._edges == other._edges
+        return self._nbr == other._nbr and self._at.keys() == other._at.keys()
 
     def __hash__(self) -> int:
         if self._hash is None:
-            self._hash = hash((frozenset(self._adj), self._edges))
+            self._hash = hash((tuple(self._at), self._nbr))
         return self._hash
 
     def __repr__(self) -> str:
         return f"Graph({self.vertex_count} vertices, {self.edge_count} edges)"
+
+
+def from_masks(labels: Sequence[str], nbr: Sequence[int], mask: int) -> Graph:
+    """The graph induced on mask, where slot i is labels[i], in any label order, and nbr[i] masks its
+    neighbours.  Nothing is checked: labels must be valid and distinct, nbr symmetric and loop-free."""
+    keep = sorted(bits(mask), key=labels.__getitem__)
+    bit = {i: 1 << k for k, i in enumerate(keep)}  # slot -> its bit in the new graph
+    g = object.__new__(Graph)
+    g._at = {labels[i]: k for k, i in enumerate(keep)}
+    g._nbr = tuple(sum(bit[j] for j in bits(nbr[i] & mask)) for i in keep)
+    g._hash = None
+    return g
 
 
 def bits(mask: int) -> list[int]:
@@ -201,12 +204,11 @@ def bits(mask: int) -> list[int]:
     return out
 
 
-def mask_of(verts: list[str], labels: Iterable[str]) -> int:
-    """Mask of the labels' positions in the sorted label list verts."""
-    at = {v: 1 << i for i, v in enumerate(verts)}
+def mask_of(g: Graph, labels: Iterable[str]) -> int:
+    """Mask of the labels' positions in g's `bitsets()`."""
     labels = set(labels)
-    check_known(labels, at)
-    return sum(at[v] for v in labels)
+    check_known(labels, g._at)
+    return sum(1 << g._at[v] for v in labels)
 
 
 def check_known(labels: Iterable[str], known: Container[str], what: str = "vertex") -> None:

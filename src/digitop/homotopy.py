@@ -43,7 +43,7 @@ from dataclasses import dataclass
 from . import invariants
 from .canon import canonical_form
 from .errors import CapacityError, DomainError
-from .graph import Graph, bits, connected, mask_of
+from .graph import Graph, bits, connected, from_masks, mask_of
 
 SIZE_CAP = 25
 
@@ -192,9 +192,7 @@ class ReductionCertificate:
             else:
                 i, j = map(index.get, step.labels)
                 nbr[i], nbr[j] = nbr[i] ^ 1 << j, nbr[j] ^ 1 << i
-        verts, keep = list(index), bits(mask)
-        edges = ((verts[i], verts[j]) for i in keep for j in bits(nbr[i] & mask) if i < j)
-        return Graph((verts[i] for i in keep), edges)
+        return from_masks(list(index), nbr, mask)
 
 
 def format_certificate(cert: ReductionCertificate) -> str:
@@ -254,27 +252,27 @@ def reduce_to_subgraph(
     """
     _check_cap(g.vertex_count, size_cap)
     verts, nbr = g.bitsets()
-    goal = mask_of(verts, keep)
+    goal = mask_of(g, keep)
     if not _contractible(nbr, goal):
         raise DomainError("target subgraph is not contractible")
     if _homology_matches(nbr, (1 << len(verts)) - 1, (1,)) is False:
         return None
-    dead: set[int] = set()
-
-    def search(mask: int) -> list[str] | None:
-        if mask == goal:
-            return []
-        if mask in dead:
-            return None
-        for i in bits(mask & ~goal):
-            if _contractible(nbr, nbr[i] & mask):
-                rest = search(mask ^ (1 << i))
-                if rest is not None:
-                    return [verts[i]] + rest
-        dead.add(mask)
-        return None
-
-    order = search((1 << len(verts)) - 1)
+    order = _reduce(nbr, verts, goal, set(), (1 << len(verts)) - 1)
     if order is None:
         return None
     return ReductionCertificate(tuple(CertStep("dp", (v,)) for v in order))
+
+
+def _reduce(nbr: list[int], verts: list[str], goal: int, dead: set[int], mask: int) -> list[str] | None:
+    """Simple points whose deletion in turn takes mask to goal, or None; `dead` holds masks with none."""
+    if mask == goal:
+        return []
+    if mask in dead:
+        return None
+    for i in bits(mask & ~goal):
+        if _contractible(nbr, nbr[i] & mask):
+            rest = _reduce(nbr, verts, goal, dead, mask ^ (1 << i))
+            if rest is not None:
+                return [verts[i]] + rest
+    dead.add(mask)
+    return None

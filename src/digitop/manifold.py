@@ -156,7 +156,7 @@ def disk_dimension(g: Graph, boundary, *, size_cap: int = SIZE_CAP) -> int | Non
     boundary = frozenset(boundary)
     check_known(boundary, g, "boundary vertex")
     verts, nbr = g.bitsets()
-    return _disk_dim(nbr, (1 << len(verts)) - 1, mask_of(verts, boundary))
+    return _disk_dim(nbr, (1 << len(verts)) - 1, mask_of(g, boundary))
 
 
 def is_disk(g: Graph, boundary, *, size_cap: int = SIZE_CAP) -> tuple[bool, int | None]:
@@ -184,7 +184,7 @@ def sphere_by_complement(m: Graph, sub, *, size_cap: int = SIZE_CAP) -> bool:
     whole = (1 << len(verts)) - 1
     if _manifold_dim(nbr, whole) is None:
         raise DomainError("sphere_by_complement requires a digital manifold")
-    sub = mask_of(verts, sub)
+    sub = mask_of(m, sub)
     if not _contractible(nbr, sub):
         raise DomainError("removed subspace must induce a contractible subgraph")
     return _contractible(nbr, whole ^ sub)

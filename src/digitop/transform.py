@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 from .canon import canonical_labelling
 from .errors import DomainError
-from .graph import Graph, bits, check_label, components, connected, mask_of
+from .graph import Graph, bits, check_label, components, connected, from_masks, mask_of
 from .manifold import Disk
 
 
@@ -87,9 +87,7 @@ class _Masks:
         return i, j
 
     def graph(self) -> Graph:
-        nbr, verts = self.nbr, self.verts
-        edges = ((v, verts[j]) for v, i in self.at.items() for j in bits(nbr[i]) if i < j)
-        return Graph(self.at, edges)
+        return from_masks(self.verts, self.nbr, sum(1 << i for i in self.at.values()))
 
     def contract(self, x: str, y: str, z_label: str | None) -> tuple[str, int, int, int]:
         """Merge the simple pair x, y into one point, which takes x's slot; return it and
@@ -260,7 +258,8 @@ def compress(g: Graph) -> tuple[Graph, TransformLog]:
     """
     m = _Masks(g)
     nbr, verts, at = m.nbr, m.verts, m.at
-    live = {(x, y) for x, y in g.edges if _simple(nbr, at[x], at[y])}
+    live = {(verts[a], verts[b]) for b, nb in enumerate(nbr) for a in bits(nb & (1 << b) - 1)
+            if _simple(nbr, a, b)}
     heap = sorted(live)
     steps: list[TransformStep] = []
     while heap:
@@ -335,7 +334,7 @@ def parse_log(text: str) -> TransformLog:
 def separate(m: Graph, s) -> list[frozenset[str]]:
     """Components left after deleting the vertex set s from a connected graph."""
     verts, nbr = m.bitsets()
-    removed = mask_of(verts, s)  # unknown labels are reported before a disconnected graph
+    removed = mask_of(m, s)  # unknown labels are reported before a disconnected graph
     whole = (1 << len(verts)) - 1
     if not connected(nbr, whole):
         raise DomainError("separate requires a connected graph")

@@ -10,12 +10,13 @@ The oracles here deliberately share no caching or pruning with the
 library; they restate the definitions as plainly as possible.
 """
 
+import sys
 from functools import cache
 from itertools import combinations, permutations
 
 from digitop import invariants
 from digitop.errors import DomainError
-from digitop.graph import Graph, check_label, fresh_labels
+from digitop.graph import Graph, check_label, fresh_labels, from_masks
 from digitop.homotopy import SIZE_CAP, _check_cap
 
 LABELS = tuple("abcdefgh")
@@ -47,6 +48,27 @@ def all_graphs(max_vertices: int) -> tuple[Graph, ...]:
         layer = grown
         out.extend(layer)
     return tuple(out)
+
+
+def record_graphs(monkeypatch) -> list[Graph]:
+    """A list that every Graph built from now on joins, whether by the public
+    constructor or by `graph.from_masks`, in every digitop module that imports it."""
+    built: list[Graph] = []
+    init = Graph.__init__
+
+    def counted_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    def counted_from_masks(*args):
+        built.append(from_masks(*args))
+        return built[-1]
+
+    monkeypatch.setattr(Graph, "__init__", counted_init)
+    for name, module in list(sys.modules.items()):
+        if name.startswith("digitop.") and getattr(module, "from_masks", None) is from_masks:
+            monkeypatch.setattr(module, "from_masks", counted_from_masks)
+    return built
 
 
 @cache

@@ -1,0 +1,28 @@
+"""`tools/digests.py` prints the recorded digest of every observable output, byte for byte."""
+
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+DIGESTS = """\
+verify: cc5afc91cf2052a7
+demo 01: 205ba206dc31dbcc
+demo 02: dec393c6f1f941da
+demo 03: bbf5cd1c5363e003
+demo 04: b53407fa2727ab59
+demo 05: e2fb1b0a27cc8c5d
+pipeline logs: 5c2d1948b5b90483
+pipeline reports: ec9c7ae6096adc6e
+forms: 156cdfc7a82763d5
+"""
+
+
+def test_digests_are_unchanged():
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "digests.py")],
+        capture_output=True, text=True, timeout=600, check=False,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == DIGESTS

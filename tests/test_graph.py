@@ -1,15 +1,18 @@
 import os
 import subprocess
 import sys
+from itertools import combinations
 from pathlib import Path
 
 import pytest
 
+from corpus import all_graphs
 from digitop.errors import DomainError
 from digitop.graph import (
     Graph,
     format_graph,
     fresh_labels,
+    from_masks,
     parse_graph,
     read_graph,
     write_graph,
@@ -62,6 +65,51 @@ def test_edge_validation():
     with pytest.raises(DomainError):
         Graph("ab", [("a", "c")])  # unknown endpoint
     assert Graph("ab", [("a", "b"), ("b", "a")]).edge_count == 1
+
+
+@pytest.mark.parametrize("edge, text", [
+    (("a", "a"), "self-loop at 'a'"),
+    (("c", "c"), "self-loop at 'c'"),  # the loop is named before the undeclared endpoint
+    (("c", "d"), "edge endpoint 'c' is not a declared vertex"),
+    (("a", "d"), "edge endpoint 'd' is not a declared vertex"),
+])
+def test_edge_error_texts(edge, text):
+    with pytest.raises(DomainError) as exc:
+        Graph("ab", [("a", "b"), edge])
+    assert str(exc.value) == text
+
+
+def built_plainly(g: Graph, keep) -> Graph:
+    """The induced subgraph on keep, through the public constructor."""
+    return Graph(keep, [(u, v) for u, v in g.sorted_edges() if u in keep and v in keep])
+
+
+def assert_same(h: Graph, ref: Graph) -> None:
+    assert h == ref and hash(h) == hash(ref)
+    assert h.sorted_vertices() == ref.sorted_vertices() and h.sorted_edges() == ref.sorted_edges()
+
+
+def test_mask_builder_matches_the_public_constructor():
+    """induced, rim, ball and remove build from masks; their results, and without_edge's,
+    equal, hash included, what the checked constructor builds from labels."""
+    for g in all_graphs(5):
+        verts = g.sorted_vertices()
+        assert_same(Graph(verts, g.sorted_edges()), g)
+        for size in range(len(verts) + 1):
+            for keep in combinations(verts, size):
+                assert_same(g.induced(keep), built_plainly(g, set(keep)))
+                assert_same(g.remove(keep), built_plainly(g, set(verts) - set(keep)))
+        for v in verts:
+            assert_same(g.rim(v), built_plainly(g, g.neighbors(v)))
+            assert_same(g.ball(v), built_plainly(g, g.neighbors(v) | {v}))
+        for u, v in g.sorted_edges():
+            cut = Graph(verts, [e for e in g.sorted_edges() if e != (u, v)])
+            assert_same(g.without_edge(v, u), cut)
+        # slots in descending label order: from_masks sorts them back
+        labels, nbr = g.bitsets()
+        last = len(labels) - 1
+        flipped = [sum(1 << last - j for j in range(last + 1) if m >> j & 1) for m in nbr]
+        assert_same(from_masks(labels[::-1], flipped[::-1], (1 << len(labels)) - 1), g)
 
 
 def test_neighbors_unknown_vertex():

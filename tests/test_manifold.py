@@ -1,5 +1,6 @@
 import pytest
 
+from corpus import record_graphs
 from digitop import homotopy, manifold
 from digitop.errors import CapacityError, DomainError
 from digitop.gallery import gallery, gallery_names
@@ -200,15 +201,8 @@ def test_searches_build_no_graphs_past_their_entry(monkeypatch):
     certificate builds one, its result."""
     graphs = [gallery(name) for name in ("torus16", "projective11", "s3-min", "disk2")]
     graphs += [suspend(gallery("s2-min")), suspend(gallery("disk2"))]
-    built = []
-    real = Graph.__init__
-
-    def counting(self, *args, **kwargs):
-        built.append(self)
-        real(self, *args, **kwargs)
-
     homotopy.clear_caches()
-    monkeypatch.setattr(Graph, "__init__", counting)
+    built = record_graphs(monkeypatch)
     replayed = 0
     try:
         for g in graphs:

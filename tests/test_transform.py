@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from corpus import connected_graphs, has_induced_c4_through, plain_log_replay
+from corpus import connected_graphs, has_induced_c4_through, plain_log_replay, record_graphs
 from digitop.digitize import Circle, CubeSurface, SphereSurface, digitize, parse_shape
 from digitop.errors import DomainError
 from digitop.gallery import gallery, gallery_names
@@ -284,14 +284,7 @@ def test_compress_output_on_the_pipeline_shapes_is_pinned(monkeypatch):
 
 def test_compress_replay_and_invert_build_one_graph(monkeypatch):
     g = digitize(Circle((0.23, 0.31), 3.0), 0.5).graph
-    built = []
-    init = Graph.__init__
-
-    def counted(self, *args, **kwargs):
-        built.append(self)
-        init(self, *args, **kwargs)
-
-    monkeypatch.setattr(Graph, "__init__", counted)
+    built = record_graphs(monkeypatch)
     comp, log = compress(g)
     replayed, inverted = log.replay(g), log.invert(comp)
     assert built == [comp, replayed, inverted]
