@@ -121,12 +121,6 @@ def _contractible(nbr: list[int], mask: int, *, guard: bool = True) -> bool:
     return result
 
 
-def _indexed(g: Graph) -> tuple[dict[str, int], list[int], int]:
-    """Each label's position in g's `bitsets()`, its neighbour masks, and the mask of all points."""
-    verts, nbr = g.bitsets()
-    return {v: i for i, v in enumerate(verts)}, nbr, (1 << len(verts)) - 1
-
-
 def _simple(at: dict[str, int], nbr: list[int], mask: int, labels: tuple, size_cap: int) -> bool:
     """Whether the rim on mask of a point (one label) or an edge (two) is contractible."""
     rim = mask
@@ -142,12 +136,12 @@ def _simple(at: dict[str, int], nbr: list[int], mask: int, labels: tuple, size_c
 
 def is_simple_point(g: Graph, v: str, *, size_cap: int = SIZE_CAP) -> bool:
     """True iff the rim of v is contractible, so deleting v preserves homotopy."""
-    return _simple(*_indexed(g), (v,), size_cap)
+    return _simple(g._at, g._nbr, (1 << g.vertex_count) - 1, (v,), size_cap)
 
 
 def is_simple_edge(g: Graph, u: str, v: str, *, size_cap: int = SIZE_CAP) -> bool:
     """True iff the joint rim of the edge (u, v) is contractible."""
-    return _simple(*_indexed(g), (u, v), size_cap)
+    return _simple(g._at, g._nbr, (1 << g.vertex_count) - 1, (u, v), size_cap)
 
 
 # -- certificates ----------------------------------------------------------
@@ -182,7 +176,7 @@ class ReductionCertificate:
     steps: tuple[CertStep, ...]
 
     def replay(self, g: Graph, *, size_cap: int = SIZE_CAP) -> Graph:
-        index, nbr, mask = _indexed(g)  # nbr is a fresh list, so 'de' steps may edit it
+        index, nbr, mask = g._at, list(g._nbr), (1 << g.vertex_count) - 1  # 'de' steps edit nbr
         for step in self.steps:
             if not _simple(index, nbr, mask, step.labels, size_cap):
                 what = " ".join(["point" if step.kind == "dp" else "edge", *map(repr, step.labels)])

@@ -1,4 +1,7 @@
+import gc
+import inspect
 import random
+import sys
 import time
 from itertools import permutations
 
@@ -236,9 +239,41 @@ def test_seven_vertex_corpus_forms_are_complete_invariants():
 
 
 def test_symmetric_graphs_stay_within_a_small_leaf_budget(monkeypatch):
-    monkeypatch.setattr(canon, "MAX_LEAVES", 1_000)
-    for g in [minimal_sphere(n) for n in range(6, 9)] + [cycle(200), torus(10, 10)]:
+    """Each graph takes exactly k leaves: the search fails with k - 1 and succeeds with k."""
+    cases = (
+        [(cycle(n), 3) for n in (4, 20, 50, 200)]
+        + [(torus(4, 4), 5), (torus(10, 10), 5)]
+        + [(minimal_sphere(n), n + 2) for n in range(10)]
+    )
+    for g, k in cases:
+        monkeypatch.setattr(canon, "MAX_LEAVES", k - 1)
+        with pytest.raises(CapacityError, match=f"searched {k} leaves"):
+            g.canonical_form()
+        monkeypatch.setattr(canon, "MAX_LEAVES", k)
         g.canonical_form()
+
+
+def test_search_leaves_no_cyclic_garbage():
+    graphs = [minimal_sphere(n) for n in range(1, 6)] + [torus(3, 3), torus(4, 4), torus(4, 6)]
+    gc.collect()
+    gc.disable()
+    try:
+        for g in graphs:
+            g.canonical_form()
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+def test_search_deeper_than_the_recursion_limit_still_gives_a_form():
+    points = Graph([f"p{i}" for i in range(80)])  # the search individualizes 79 points in a row
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack(0)) + 40)
+    try:
+        form = points.canonical_form()
+    finally:
+        sys.setrecursionlimit(limit)
+    assert form.startswith(b"80:0:")
 
 
 def test_twin_heavy_graphs_do_not_stall():

@@ -16,6 +16,7 @@ demo 05: e2fb1b0a27cc8c5d
 pipeline logs: 5c2d1948b5b90483
 pipeline reports: ec9c7ae6096adc6e
 forms: 156cdfc7a82763d5
+labellings: 022611ad48415b4d
 """
 
 

@@ -14,7 +14,10 @@ The script reruns itself under PYTHONHASHSEED=0 and prints one
 - `pipeline reports`: `format_report` of each of those models and of
   its compressed graph;
 - `forms`: `canonical_form` of every graph in `tests/corpus.py`'s
-  `all_graphs(6)`.
+  `all_graphs(6)`;
+- `labellings`: the order of `canonical_labelling` of each of those
+  graphs, as labels, which `propose_isomorphism` and `digitop verify`
+  rely on.
 
 It imports the package, the corpus and the workloads from the checkout
 it lives in, so a copy of this file placed in another checkout digests
@@ -41,6 +44,7 @@ def main() -> None:
         sys.path.insert(0, str(ROOT / sub))
     import digitop
     from corpus import all_graphs
+    from digitop.canon import canonical_labelling
     from digitop.cli import run
     from workloads import Pipeline
 
@@ -61,6 +65,12 @@ def main() -> None:
     print(f"pipeline logs: {digest(''.join(logs))}")
     print(f"pipeline reports: {digest(''.join(reports))}")
     print(f"forms: {digest(b''.join(g.canonical_form() for g in all_graphs(6)))}")
+    orders = []
+    for g in all_graphs(6):
+        verts, nbr = g.bitsets()
+        _, order = canonical_labelling(nbr, (1 << len(verts)) - 1)
+        orders.append(" ".join(verts[i] for i in order) + "\n")
+    print(f"labellings: {digest(''.join(orders))}")
 
 
 if __name__ == "__main__":
