@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import sys
 from dataclasses import dataclass
+from functools import cache
 
 from .digitize import digitize, parse_shape
 from .errors import CapacityError, DomainError
@@ -303,11 +304,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# one parser for every run: a parser is a web of reference cycles
+_parser = cache(build_parser)
+
+
 def run(argv) -> CommandResult:
     """Parse and execute one invocation; never raises for expected failures."""
-    parser = build_parser()
     try:
-        args = parser.parse_args(list(argv))
+        args = _parser().parse_args(list(argv))
     except SystemExit as exc:  # argparse already printed usage or help
         code = exc.code if isinstance(exc.code, int) else 2
         return CommandResult(code, "")

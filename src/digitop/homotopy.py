@@ -85,7 +85,7 @@ def _homology_matches(nbr: list[int], mask: int, betti: tuple[int, ...]) -> bool
     counts = [len(level) for level in levels]
     if invariants._alternating(counts) != invariants._alternating(betti):
         return False
-    return invariants._betti(levels) == list(betti)
+    return invariants._betti(levels, invariants._width(len(nbr))) == list(betti)
 
 
 def is_contractible(g: Graph, *, size_cap: int = SIZE_CAP) -> bool:

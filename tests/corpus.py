@@ -14,7 +14,6 @@ import sys
 from functools import cache
 from itertools import combinations, permutations
 
-from digitop import invariants
 from digitop.errors import DomainError
 from digitop.graph import Graph, check_label, fresh_labels, from_masks
 from digitop.homotopy import SIZE_CAP, _check_cap
@@ -212,10 +211,21 @@ def _plain_boundary_rank(rows: dict[tuple[int, ...], int], cols: list[tuple[int,
     return rank
 
 
+def plain_cliques(g: Graph) -> list[list[tuple[int, ...]]]:
+    """Cliques as ascending tuples of vertex positions, by size, grown from neighbour sets."""
+    verts = sorted(g.vertices)
+    at = {v: i for i, v in enumerate(verts)}
+    adj = [{at[u] for u in g.neighbors(v)} for v in verts]
+    levels = [[(i,) for i in range(len(verts))]]
+    while levels[-1]:
+        common = [(c, set.intersection(*(adj[i] for i in c))) for c in levels[-1]]
+        levels.append([c + (j,) for c, shared in common for j in sorted(shared) if j > c[-1]])
+    return levels[:-1]
+
+
 def plain_betti(g: Graph) -> list[int]:
     """Mod-2 Betti numbers with every boundary column reduced: no clearing."""
-    _, nbr = g.bitsets()
-    levels = invariants._clique_lists(nbr, (1 << len(nbr)) - 1, invariants.DEFAULT_CLIQUE_BUDGET)
+    levels = plain_cliques(g)
     if not levels:
         return []
     ranks = [0]  # rank of the boundary map out of dimension k, k >= 1

@@ -1,3 +1,5 @@
+import gc
+
 from digitop.cli import main, run
 from digitop.gallery import gallery
 from digitop.graph import Graph, format_graph, parse_graph, read_graph, write_graph
@@ -166,3 +168,15 @@ def test_main_writes_stdout(tmp_path, capsys):
     code = main(["euler", torus])
     assert code == 0
     assert capsys.readouterr().out == "0\n"
+
+
+def test_repeated_runs_leave_no_cyclic_garbage():
+    run(["gallery", "s0"])  # the first run builds the parser
+    gc.collect()
+    gc.disable()
+    try:
+        res = run(["gallery", "s0"])
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+    assert res.exit_code == 0

@@ -2,10 +2,10 @@ import random
 
 import pytest
 
-from corpus import connected_graphs, plain_betti
+from corpus import connected_graphs, plain_betti, plain_cliques
 from digitop import invariants
 from digitop.errors import CapacityError, DomainError
-from digitop.gallery import gallery
+from digitop.gallery import gallery, gallery_names
 from digitop.graph import Graph
 from digitop.invariants import (
     betti_numbers,
@@ -15,7 +15,7 @@ from digitop.invariants import (
     invariant_report,
     parse_report,
 )
-from digitop.manifold import minimal_sphere
+from digitop.manifold import minimal_sphere, suspend
 from test_transform import digitized_cases
 
 
@@ -114,3 +114,54 @@ def test_clearing_matches_plain_ranks():
     graphs += digitized_cases()
     for g in graphs:
         assert betti_numbers(g) == plain_betti(g), g.sorted_edges()
+
+
+def ring(n: int) -> Graph:
+    """A cycle on n vertices; one or two vertices give a point or an edge."""
+    labels = [f"v{i:02d}" for i in range(n)]
+    pairs = {tuple(sorted((labels[i], labels[(i + 1) % n]))) for i in range(n)}
+    return Graph(labels, [(a, b) for a, b in pairs if a != b])
+
+
+def disjoint(g: Graph, h: Graph) -> Graph:
+    return Graph(
+        [f"a{v}" for v in g.vertices] + [f"b{v}" for v in h.vertices],
+        [(f"a{u}", f"a{v}") for u, v in g.edges] + [(f"b{u}", f"b{v}") for u, v in h.edges],
+    )
+
+
+def test_lazy_columns_and_code_widths_match_plain_ranks(monkeypatch):
+    """Ranks agree with the plain oracle where columns must be built and where codes widen.
+
+    Vertex counts 1, 2, 3, 4, 5, 8, 9, 16, 17, 64 and 65 sit on both sides
+    of each digit-width step; the codes must decode to the plain cliques,
+    in the same order.
+    """
+    named = [gallery(name) for name in gallery_names()]
+    spheres = [gallery(name) for name in ("s0", "s1-min", "s1-5", "s2-min", "s3-min")]
+    sizes = (1, 2, 3, 4, 5, 8, 9, 16, 17, 64, 65)
+    graphs = (
+        named
+        + [suspend(g) for g in named]
+        + [disjoint(g, h) for g in spheres for h in spheres]
+        + [minimal_sphere(n) for n in range(7)]
+        + [ring(n) for n in sizes]
+        + [ring(n - 1).join(Graph(("apex",), ())) for n in sizes]
+    )
+    real = invariants._column
+    built: list[int] = []
+    monkeypatch.setattr(invariants, "_column", lambda s, *rest: built.append(s) or real(s, *rest))
+    builders = 0
+    for g in graphs:
+        verts, nbr = g.bitsets()
+        w, mask = invariants._width(len(verts)), (1 << len(verts)) - 1
+        levels = invariants._clique_lists(nbr, mask, invariants.DEFAULT_CLIQUE_BUDGET)
+        decoded = [
+            [tuple((c >> w * t) & ((1 << w) - 1) for t in reversed(range(size))) for c in level]
+            for size, level in enumerate(levels, 1)
+        ]
+        assert decoded == plain_cliques(g), g.sorted_edges()
+        before = len(built)
+        assert betti_numbers(g) == plain_betti(g), g.sorted_edges()
+        builders += len(built) > before
+    assert 0 < builders < len(graphs)

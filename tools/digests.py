@@ -17,7 +17,11 @@ The script reruns itself under PYTHONHASHSEED=0 and prints one
   `all_graphs(6)`;
 - `labellings`: the order of `canonical_labelling` of each of those
   graphs, as labels, which `propose_isomorphism` and `digitop verify`
-  rely on.
+  rely on;
+- `reports`: `format_report` of every `all_graphs(6)` graph, of each
+  gallery graph and its suspension, and of the complete graphs K2-K14,
+  which pins the Betti ranks on disconnected and high-dimensional
+  complexes as well.
 
 It imports the package, the corpus and the workloads from the checkout
 it lives in, so a copy of this file placed in another checkout digests
@@ -28,6 +32,7 @@ import hashlib
 import os
 import subprocess
 import sys
+from itertools import combinations
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -46,6 +51,7 @@ def main() -> None:
     from corpus import all_graphs
     from digitop.canon import canonical_labelling
     from digitop.cli import run
+    from digitop.manifold import suspend
     from workloads import Pipeline
 
     print(f"verify: {digest(run(['verify']).stdout)}")
@@ -71,6 +77,12 @@ def main() -> None:
         _, order = canonical_labelling(nbr, (1 << len(verts)) - 1)
         orders.append(" ".join(verts[i] for i in order) + "\n")
     print(f"labellings: {digest(''.join(orders))}")
+    named = [digitop.gallery(name) for name in digitop.gallery_names()]
+    complete = [[f"k{i}" for i in range(n)] for n in range(2, 15)]
+    graphs = [*all_graphs(6), *named, *map(suspend, named)]
+    graphs += [digitop.Graph(labels, combinations(labels, 2)) for labels in complete]
+    texts = [digitop.format_report(digitop.invariant_report(g)) for g in graphs]
+    print(f"reports: {digest(''.join(texts))}")
 
 
 if __name__ == "__main__":
