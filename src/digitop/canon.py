@@ -31,16 +31,25 @@ automorphism ends the search of its own subtree under the node where
 its path left the best leaf's, since that subtree is the image of one
 already searched.  Both prunings are exact.  Vertex-transitive graphs
 such as long cycles, tori and `manifold.minimal_sphere(n)` then take a
-few leaves per level rather than one per automorphism.  The search
-runs on an explicit stack, not by recursion; the worst case is still
-exponential, and past MAX_LEAVES leaves, its only limit, it raises
-`CapacityError`.
+few leaves per level rather than one per automorphism.
+
+The search runs on an explicit stack, not by recursion; the worst case
+is still exponential, and past MAX_LEAVES leaves, its only limit, it
+raises `CapacityError`.
+
+The search also reports orbits, built only when asked for: union-find
+over the recorded automorphisms' moved pairs gives each orbit's least
+index, as a mask.  Each recorded map is an automorphism (two leaves with
+equal codes), so the points of one orbit are automorphic images of each
+other; the group they generate may be smaller than the full one, which
+only splits orbits.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from collections.abc import Iterator
+from functools import partial
 
 from .errors import CapacityError
 from .graph import bits
@@ -55,15 +64,20 @@ Gens = list[tuple[int, list[tuple[int, int]]]]  # automorphisms: mask and pairs 
 
 def canonical_form(nbr: list[int], mask: int) -> bytes:
     """The form of the subgraph induced on `mask` of the graph with neighbour masks `nbr`."""
-    return canonical_labelling(nbr, mask)[0]
+    return _search(nbr, mask)[0]
 
 
 def canonical_labelling(nbr: list[int], mask: int) -> tuple[bytes, list[int]]:
     """The canonical form and the indices in mask in the order that form encodes them."""
+    return _search(nbr, mask)[:2]
+
+
+def _search(nbr: list[int], mask: int) -> tuple[bytes, list[int], partial[int]]:
+    """The form, the labelling, and a call that returns the mask of each orbit's least index."""
     verts = bits(mask)
     n = len(verts)
     if n == 0:
-        return b"0:", []
+        return b"0:", [], partial(_orbit_reps, [], [])
     index = {v: i for i, v in enumerate(verts)}
     adj = [[index[u] for u in bits(nbr[v] & mask)] for v in verts]  # re-indexed to 0..n-1
     nbr = [sum(1 << j for j in a) for a in adj]
@@ -97,7 +111,18 @@ def canonical_labelling(nbr: list[int], mask: int) -> tuple[bytes, list[int]]:
     assert best is not None
     digits = "".join([bin(row)[3:] for row in best[0]])  # each row without its "0b1"
     code = int("0" + digits, 2).to_bytes((n * (n - 1) // 2 + 7) // 8 or 1, "big")
-    return b"%d:%d:" % (n, sum(map(len, adj)) // 2) + code, [verts[i] for i in best[1]]
+    form = b"%d:%d:" % (n, sum(map(len, adj)) // 2) + code
+    return form, [verts[i] for i in best[1]], partial(_orbit_reps, verts, gens)
+
+
+def _orbit_reps(verts: list[int], gens: Gens) -> int:
+    """The least index of each orbit of the group the recorded automorphisms generate, as a mask."""
+    parent = list(range(len(verts)))
+    for _, moved in gens:
+        for x, y in moved:
+            x, y = _find(parent, x), _find(parent, y)
+            parent[max(x, y)] = min(x, y)
+    return sum(1 << verts[i] for i, p in enumerate(parent) if p == i)
 
 
 def _refine(adj: list[list[int]], nbr: list[int], lab: list[int], cend: list[int], cell: list[int],
@@ -193,7 +218,7 @@ def _rows(adj: list[list[int]], lab: list[int]) -> Iterator[int]:
         yield row >> (i + 1)
 
 
-def _find(parent: dict[int, int], x: int) -> int:
+def _find(parent: dict[int, int] | list[int], x: int) -> int:
     while parent[x] != x:
         parent[x] = parent[parent[x]]
         x = parent[x]

@@ -17,30 +17,37 @@ homology, which by induction is the (k-1)-sphere's, up by one.  A graph
 with other Betti numbers is rejected without the loop; one with more
 than `homotopy.GUARD_CLIQUES` cliques runs the loop as before.
 
+On a verdict-table miss, sphere recognition checks the rim and tries
+the deletion of one point per orbit that the canonical search reports.
+That is exact: an automorphism s maps rim(v) onto rim(s(v)) and g - v
+onto g - s(v), so both verdicts are constant on the orbits of any group
+of automorphisms.  The public manifold and disk checks visit every point.
+
 Recognition recurses on vertex masks, as in `homotopy`.  Sphere
 verdicts are memoized in homotopy's verdict table, keyed by ("sphere",
 canonical form), with the manifold dimension found on the way under
-("manifold", form), which `classify` reads back instead of walking the
-rims again; `homotopy.clear_caches()`, also importable here, resets all.
+("manifold", form), which `classify` reads off the same search instead
+of walking the rims again; `homotopy.clear_caches()`, also importable
+here, resets all.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .canon import canonical_form
+from .canon import _search
 from .errors import DomainError
 from .graph import Graph, bits, check_known, connected, mask_of
 from .homotopy import _VERDICTS, SIZE_CAP, _check_cap, _contractible, _homology_matches
 from .homotopy import clear_caches  # noqa: F401  re-exported: one reset for every verdict
 
 
-def _manifold_dim(nbr: list[int], mask: int) -> int | None:
-    """n when the subgraph on mask is connected and every rim is an (n-1)-sphere, else None."""
+def _manifold_dim(nbr: list[int], mask: int, points: int) -> int | None:
+    """n when mask is connected and the rims of `points` (mask, or one per orbit) are (n-1)-spheres."""
     if not connected(nbr, mask):
         return None
     rim_dims = set()
-    for i in bits(mask):
+    for i in bits(points):
         d = _sphere_dim(nbr, nbr[i] & mask)
         if d is None:
             return None
@@ -51,19 +58,25 @@ def _manifold_dim(nbr: list[int], mask: int) -> int | None:
 
 
 def _sphere_dim(nbr: list[int], mask: int) -> int | None:
+    return _dims(nbr, mask)[0]
+
+
+def _dims(nbr: list[int], mask: int) -> tuple[int | None, int | None]:
+    """The sphere and the manifold dimension of the subgraph on mask, each None if it is none."""
     n = mask.bit_count()
     if n < 2 or not connected(nbr, mask):
-        return 0 if n == 2 else None
-    form = canonical_form(nbr, mask)
+        return (0 if n == 2 else None), None
+    form, _, orbits = _search(nbr, mask)
     if ("sphere", form) not in _VERDICTS:
-        k = _VERDICTS["manifold", form] = _manifold_dim(nbr, mask)
+        reps = orbits()
+        k = _VERDICTS["manifold", form] = _manifold_dim(nbr, mask, reps)
         if k is not None and (
             _homology_matches(nbr, mask, (1,) + (0,) * (k - 1) + (1,)) is False
-            or not any(_contractible(nbr, mask ^ (1 << i)) for i in bits(mask))
+            or not any(_contractible(nbr, mask ^ (1 << i)) for i in bits(reps))
         ):
             k = None
         _VERDICTS["sphere", form] = k
-    return _VERDICTS["sphere", form]
+    return _VERDICTS["sphere", form], _VERDICTS["manifold", form]
 
 
 def sphere_dimension(g: Graph, *, size_cap: int = SIZE_CAP) -> int | None:
@@ -81,7 +94,8 @@ def manifold_dimension(g: Graph, *, size_cap: int = SIZE_CAP) -> int | None:
     """Dimension n >= 1 when connected and every rim is an (n-1)-sphere."""
     _check_cap(g.vertex_count, size_cap)
     _, nbr = g.bitsets()
-    return _manifold_dim(nbr, (1 << len(nbr)) - 1)
+    whole = (1 << len(nbr)) - 1
+    return _manifold_dim(nbr, whole, whole)
 
 
 def is_manifold(g: Graph, *, size_cap: int = SIZE_CAP) -> tuple[bool, int | None]:
@@ -182,7 +196,7 @@ def sphere_by_complement(m: Graph, sub, *, size_cap: int = SIZE_CAP) -> bool:
     _check_cap(m.vertex_count, size_cap)
     verts, nbr = m.bitsets()
     whole = (1 << len(verts)) - 1
-    if _manifold_dim(nbr, whole) is None:
+    if _manifold_dim(nbr, whole, whole) is None:
         raise DomainError("sphere_by_complement requires a digital manifold")
     sub = mask_of(m, sub)
     if not _contractible(nbr, sub):
@@ -227,10 +241,9 @@ def classify(g: Graph, *, size_cap: int = SIZE_CAP, auto_compress: bool = True) 
     _check_cap(work.vertex_count, size_cap)
     verts, nbr = work.bitsets()
     whole = (1 << len(verts)) - 1
-    d = _sphere_dim(nbr, whole)
+    d, m = _dims(nbr, whole)
     if d is not None:
         return Classification("sphere", d, compressed_from=compressed_from)
-    m = _VERDICTS.get(("manifold", canonical_form(nbr, whole))) if connected(nbr, whole) else None
     if m is not None:
         return Classification("manifold", m, compressed_from=compressed_from)
     if whole and _contractible(nbr, whole):

@@ -9,8 +9,9 @@ import pytest
 
 from corpus import all_graphs, connected_graphs
 from digitop import canon
-from digitop.canon import canonical_form, canonical_labelling
+from digitop.canon import _search, canonical_form, canonical_labelling
 from digitop.errors import CapacityError
+from digitop.gallery import gallery, gallery_names
 from digitop.graph import Graph, bits
 from digitop.manifold import minimal_sphere, suspend
 from digitop.transform import propose_isomorphism
@@ -260,6 +261,7 @@ def test_search_leaves_no_cyclic_garbage():
     try:
         for g in graphs:
             g.canonical_form()
+            orbit_reps(g)
         assert gc.collect() == 0
     finally:
         gc.enable()
@@ -295,3 +297,37 @@ def test_leaf_budget_error_says_what_it_used_and_which_knob_raises_it(monkeypatc
     assert "searched 3 leaves" in message
     assert "limit 2" in message
     assert "digitop.canon.MAX_LEAVES" in message
+
+
+def orbit_reps(g: Graph) -> int:
+    _, nbr = g.bitsets()
+    return _search(nbr, (1 << len(nbr)) - 1)[2]()
+
+
+def test_orbits_are_the_automorphism_orbits_on_small_graphs():
+    """The search's orbits equal those of the whole automorphism group, found by trying every
+    permutation, on every graph with at most six vertices."""
+    for g in all_graphs(6):
+        _, nbr = g.bitsets()
+        n = len(nbr)
+        least = list(range(n))
+        for p in permutations(range(n)):
+            if all(sum(1 << p[j] for j in bits(nbr[i])) == nbr[p[i]] for i in range(n)):
+                for i in range(n):
+                    least[p[i]] = min(least[p[i]], i)
+        assert orbit_reps(g) == sum(1 << i for i in set(least)), g.sorted_edges()
+
+
+def test_every_point_has_a_representative_with_the_same_rim_and_deletion():
+    """Sphere recognition checks one point per orbit; that is exact only if every point's rim and
+    deletion have the forms of some representative's."""
+    named = [gallery(name) for name in gallery_names()]
+    graphs = named + [suspend(g) for g in named] + [torus(a, a) for a in (4, 5, 6)]
+    graphs += [suspend(suspend(cycle(n))) for n in range(4, 12)] + [minimal_sphere(n) for n in range(8)]
+    for g in graphs:
+        _, nbr = g.bitsets()
+        whole = (1 << len(nbr)) - 1
+        reps = orbit_reps(g)
+        assert reps and reps & whole == reps
+        forms = [(canonical_form(nbr, nbr[i]), canonical_form(nbr, whole ^ 1 << i)) for i in bits(whole)]
+        assert set(forms) == {forms[i] for i in bits(reps)}, g.sorted_edges()

@@ -1,7 +1,7 @@
 import pytest
 
-from corpus import record_graphs
-from digitop import homotopy, manifold
+from corpus import plain_sphere_dim, record_graphs
+from digitop import canon, homotopy, manifold
 from digitop.errors import CapacityError, DomainError
 from digitop.gallery import gallery, gallery_names
 from digitop.graph import Graph
@@ -223,3 +223,46 @@ def test_searches_build_no_graphs_past_their_entry(monkeypatch):
     finally:
         homotopy.clear_caches()
     assert replayed == 4
+
+
+def record_searches(monkeypatch) -> list[int]:
+    """A list that gets the mask of every canonical search from now on."""
+    masks: list[int] = []
+    search = canon._search
+
+    def counted(nbr, mask):
+        masks.append(mask)
+        return search(nbr, mask)
+
+    monkeypatch.setattr(canon, "_search", counted)
+    monkeypatch.setattr(manifold, "_search", counted)
+    return masks
+
+
+def test_classify_searches_the_whole_graph_once(monkeypatch):
+    g = gallery("torus16")
+    homotopy.clear_caches()
+    masks = record_searches(monkeypatch)
+    assert classify(g).describe() == "manifold dim=2 sphere=false"
+    assert masks.count((1 << g.vertex_count) - 1) == 1
+
+
+def test_sphere_recognition_searches_one_point_per_orbit(monkeypatch):
+    """Exact counts of canonical searches with cold caches; checking every point took 105 and 56."""
+    masks = record_searches(monkeypatch)
+    homotopy.clear_caches()
+    assert sphere_dimension(minimal_sphere(9)) == 9
+    assert len(masks) == 9
+    masks.clear()
+    homotopy.clear_caches()
+    assert classify(suspend(suspend(cycle(11)))).describe() == "sphere dim=3"
+    assert len(masks) == 27
+
+
+def test_sphere_dimension_agrees_with_plain_recognition():
+    graphs = [minimal_sphere(n) for n in range(7)] + [suspend(suspend(cycle(n))) for n in range(4, 9)]
+    graphs.append(gallery("torus16"))  # the 4x4 torus
+    homotopy.clear_caches()
+    for g in graphs:
+        assert sphere_dimension(g) == plain_sphere_dim(g), g.sorted_edges()
+    assert [sphere_dimension(g) for g in graphs] == [*range(7), 3, 3, 3, 3, 3, None]

@@ -21,7 +21,11 @@ The script reruns itself under PYTHONHASHSEED=0 and prints one
 - `reports`: `format_report` of every `all_graphs(6)` graph, of each
   gallery graph and its suspension, and of the complete graphs K2-K14,
   which pins the Betti ranks on disconnected and high-dimensional
-  complexes as well.
+  complexes as well;
+- `verdicts`: `classify(g).describe()` and `sphere_dimension(g)` of every
+  `all_graphs(6)` graph, of each gallery graph and its suspension, of
+  the double suspensions of the cycles C4-C11, of the 4x4 torus and of
+  `minimal_sphere(0)` to `minimal_sphere(9)`.
 
 It imports the package, the corpus and the workloads from the checkout
 it lives in, so a copy of this file placed in another checkout digests
@@ -51,8 +55,8 @@ def main() -> None:
     from corpus import all_graphs
     from digitop.canon import canonical_labelling
     from digitop.cli import run
-    from digitop.manifold import suspend
-    from workloads import Pipeline
+    from digitop.manifold import minimal_sphere, suspend
+    from workloads import Pipeline, build, cycle, torus
 
     print(f"verify: {digest(run(['verify']).stdout)}")
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
@@ -83,6 +87,11 @@ def main() -> None:
     graphs += [digitop.Graph(labels, combinations(labels, 2)) for labels in complete]
     texts = [digitop.format_report(digitop.invariant_report(g)) for g in graphs]
     print(f"reports: {digest(''.join(texts))}")
+    graphs = [*all_graphs(6), *named, *map(suspend, named), build(torus(4, 4))]
+    graphs += [suspend(suspend(build(cycle(n)))) for n in range(4, 12)]
+    graphs += [minimal_sphere(n) for n in range(10)]
+    texts = [f"{digitop.classify(g).describe()} {digitop.sphere_dimension(g)}\n" for g in graphs]
+    print(f"verdicts: {digest(''.join(texts))}")
 
 
 if __name__ == "__main__":
