@@ -23,6 +23,16 @@ That is exact: an automorphism s maps rim(v) onto rim(s(v)) and g - v
 onto g - s(v), so both verdicts are constant on the orbits of any group
 of automorphisms.  The public manifold and disk checks visit every point.
 
+Before any search, three families are named from the degrees inside the
+mask.  (1) When each of n >= 2 points misses just one other, the graph
+is `minimal_sphere(n/2 - 1)`: its rims are the minimal sphere one lower
+and its deletions are cones, so it is a sphere, and from dimension 1 a
+manifold.  (2) Else at most two points, or a cone, is neither: in a cone
+every other point's rim is a smaller cone on the same apex, and a point
+and an edge are no spheres.  (3) A connected 2-regular graph on five or
+more points is a cycle: its rims are 0-spheres and deleting a point
+leaves a path.  None of these verdicts is stored in the table.
+
 Recognition recurses on vertex masks, as in `homotopy`.  Sphere
 verdicts are memoized in homotopy's verdict table, keyed by ("sphere",
 canonical form), with the manifold dimension found on the way under
@@ -64,8 +74,14 @@ def _sphere_dim(nbr: list[int], mask: int) -> int | None:
 def _dims(nbr: list[int], mask: int) -> tuple[int | None, int | None]:
     """The sphere and the manifold dimension of the subgraph on mask, each None if it is none."""
     n = mask.bit_count()
-    if n < 2 or not connected(nbr, mask):
-        return (0 if n == 2 else None), None
+    degrees = {(nbr[i] & mask).bit_count() for i in bits(mask)}
+    if n >= 2 and degrees == {n - 2}:
+        k = n // 2 - 1
+        return k, k or None
+    if n <= 2 or n - 1 in degrees or not connected(nbr, mask):
+        return None, None
+    if degrees == {2}:
+        return 1, 1
     form, _, orbits = _search(nbr, mask)
     if ("sphere", form) not in _VERDICTS:
         reps = orbits()

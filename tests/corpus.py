@@ -17,6 +17,7 @@ from itertools import combinations, permutations
 from digitop.errors import DomainError
 from digitop.graph import Graph, check_label, fresh_labels, from_masks
 from digitop.homotopy import SIZE_CAP, _check_cap
+from digitop.manifold import minimal_sphere
 
 LABELS = tuple("abcdefgh")
 
@@ -109,6 +110,44 @@ def has_induced_c4_through(g: Graph, x: str, y: str) -> bool:
     return False
 
 
+def cycle(n: int, prefix: str = "v") -> Graph:
+    labels = [f"{prefix}{i}" for i in range(n)]
+    return Graph(labels, [(labels[i], labels[(i + 1) % n]) for i in range(n)])
+
+
+def whole_rims_and_deletions(nbr: list[int]) -> tuple[int, ...]:
+    """The mask of the whole graph, then of each point's rim, then of each one-point deletion."""
+    whole = (1 << len(nbr)) - 1
+    return (whole, *nbr, *(whole ^ (1 << i) for i in range(len(nbr))))
+
+
+@cache
+def near_miss_graphs() -> tuple[Graph, ...]:
+    """Graphs on and just off the families that sphere recognition names from degrees.
+
+    The cycles C3-C14 and the disjoint unions of two cycles of 3-7
+    points; `minimal_sphere(0)` to `minimal_sphere(6)`, each also with
+    one edge added and one removed; the complete graphs K2-K8 and the
+    join of two 5-cycles; then a cone over each of these, so the wheels
+    are the cones over the cycles.
+    """
+    graphs = [cycle(n) for n in range(3, 15)]
+    for a in range(3, 8):
+        for b in range(a, 8):
+            x, y = cycle(a, "a"), cycle(b, "b")
+            graphs.append(Graph(x.vertices | y.vertices, x.edges | y.edges))
+    for k in range(7):
+        s = minimal_sphere(k)
+        graphs += [s, Graph(s.vertices, [*s.edges, ("x0", "y0")])]
+        if k:
+            graphs.append(s.without_edge("x0", "x1"))
+    for n in range(2, 9):
+        labels = [f"k{i}" for i in range(n)]
+        graphs.append(Graph(labels, combinations(labels, 2)))
+    graphs.append(cycle(5, "a").join(cycle(5, "b")))
+    return tuple(graphs + [g.join(Graph(["apex"])) for g in graphs])
+
+
 # -- unpruned search references ---------------------------------------------
 #
 # The library's searches with every shortcut taken out (no cone test, no
@@ -162,6 +201,17 @@ def plain_sphere_dim(g: Graph) -> int | None:
             if not any(plain_contractible(g.remove((v,))) for v in g.sorted_vertices()):
                 k = None
         _PLAIN[key] = k
+    return _PLAIN[key]
+
+
+def plain_manifold_dim(g: Graph) -> int | None:
+    """n when g is connected and every rim is an (n-1)-sphere."""
+    if not g.is_connected():
+        return None
+    key = ("manifold", g.canonical_form())
+    if key not in _PLAIN:
+        rim_dims = {plain_sphere_dim(g.rim(v)) for v in g.sorted_vertices()}
+        _PLAIN[key] = rim_dims.pop() + 1 if len(rim_dims) == 1 and None not in rim_dims else None
     return _PLAIN[key]
 
 

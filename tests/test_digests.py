@@ -19,6 +19,7 @@ forms: 156cdfc7a82763d5
 labellings: 022611ad48415b4d
 reports: 08d98ccbae8b73ed
 verdicts: a9df8a23746d3602
+dims: 15a5e63cc379cb54
 """
 
 

@@ -1,10 +1,18 @@
 import pytest
 
-from corpus import plain_sphere_dim, record_graphs
+from corpus import (
+    connected_graphs,
+    cycle,
+    near_miss_graphs,
+    plain_manifold_dim,
+    plain_sphere_dim,
+    record_graphs,
+    whole_rims_and_deletions,
+)
 from digitop import canon, homotopy, manifold
 from digitop.errors import CapacityError, DomainError
 from digitop.gallery import gallery, gallery_names
-from digitop.graph import Graph
+from digitop.graph import Graph, from_masks
 from digitop.homotopy import is_contractible
 from digitop.manifold import (
     Disk,
@@ -21,11 +29,6 @@ from digitop.manifold import (
     suspend,
 )
 from digitop.transform import find_simple_pairs
-
-
-def cycle(n: int) -> Graph:
-    labels = [f"v{i}" for i in range(n)]
-    return Graph(labels, [(labels[i], labels[(i + 1) % n]) for i in range(n)])
 
 
 def test_minimal_spheres_recognized():
@@ -185,7 +188,7 @@ def test_sphere_deletion_condition_matters():
 
 def test_clear_caches_resets_sphere_verdicts(monkeypatch):
     assert manifold.clear_caches is homotopy.clear_caches
-    g = gallery("s2-min")
+    g = suspend(cycle(5))  # a sphere that recognition searches, unlike a minimal one
     assert sphere_dimension(g) == 2
     homotopy.clear_caches()
     calls = []
@@ -248,15 +251,40 @@ def test_classify_searches_the_whole_graph_once(monkeypatch):
 
 
 def test_sphere_recognition_searches_one_point_per_orbit(monkeypatch):
-    """Exact counts of canonical searches with cold caches; checking every point took 105 and 56."""
+    """Exact counts of canonical searches with cold caches.
+
+    Before minimal spheres and cycles were named from their degrees,
+    these took 13 and 27.
+    """
     masks = record_searches(monkeypatch)
     homotopy.clear_caches()
-    assert sphere_dimension(minimal_sphere(9)) == 9
-    assert len(masks) == 9
+    assert sphere_dimension(cycle(5, "a").join(cycle(5, "b")).join(cycle(5, "c"))) == 5
+    assert len(masks) == 8
     masks.clear()
     homotopy.clear_caches()
     assert classify(suspend(suspend(cycle(11)))).describe() == "sphere dim=3"
-    assert len(masks) == 27
+    assert len(masks) == 16
+
+
+def test_minimal_spheres_cycles_and_their_cones_need_no_search(monkeypatch):
+    apex = Graph(["apex"])
+    spheres = [minimal_sphere(n) for n in range(10)] + [cycle(n) for n in range(5, 15)]
+    masks = record_searches(monkeypatch)
+    homotopy.clear_caches()
+    assert [sphere_dimension(g) for g in spheres] == [*range(10)] + [1] * 10
+    assert [sphere_dimension(g.join(apex)) for g in spheres] == [None] * 20
+    assert masks == []
+
+
+def test_dims_agree_with_plain_recognition_on_graphs_their_rims_and_deletions():
+    """Both dimensions against the unpruned oracles, near the families named from degrees."""
+    homotopy.clear_caches()
+    for g in [*connected_graphs(7), *near_miss_graphs()]:
+        verts, nbr = g.bitsets()
+        for mask in whole_rims_and_deletions(nbr):
+            h = from_masks(verts, nbr, mask)
+            expected = (plain_sphere_dim(h), plain_manifold_dim(h))
+            assert manifold._dims(nbr, mask) == expected, (g.sorted_edges(), h.sorted_vertices())
 
 
 def test_sphere_dimension_agrees_with_plain_recognition():

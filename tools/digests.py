@@ -25,7 +25,10 @@ The script reruns itself under PYTHONHASHSEED=0 and prints one
 - `verdicts`: `classify(g).describe()` and `sphere_dimension(g)` of every
   `all_graphs(6)` graph, of each gallery graph and its suspension, of
   the double suspensions of the cycles C4-C11, of the 4x4 torus and of
-  `minimal_sphere(0)` to `minimal_sphere(9)`.
+  `minimal_sphere(0)` to `minimal_sphere(9)`;
+- `dims`: the sphere and the manifold dimension that `manifold._dims`
+  gives each of `tests/corpus.py`'s `near_miss_graphs()`, each of its
+  rims and each of its one-point deletions.
 
 It imports the package, the corpus and the workloads from the checkout
 it lives in, so a copy of this file placed in another checkout digests
@@ -52,10 +55,10 @@ def main() -> None:
     for sub in ("src", "tests", "bench"):
         sys.path.insert(0, str(ROOT / sub))
     import digitop
-    from corpus import all_graphs
+    from corpus import all_graphs, near_miss_graphs, whole_rims_and_deletions
     from digitop.canon import canonical_labelling
     from digitop.cli import run
-    from digitop.manifold import minimal_sphere, suspend
+    from digitop.manifold import _dims, minimal_sphere, suspend
     from workloads import Pipeline, build, cycle, torus
 
     print(f"verify: {digest(run(['verify']).stdout)}")
@@ -92,6 +95,11 @@ def main() -> None:
     graphs += [minimal_sphere(n) for n in range(10)]
     texts = [f"{digitop.classify(g).describe()} {digitop.sphere_dimension(g)}\n" for g in graphs]
     print(f"verdicts: {digest(''.join(texts))}")
+    texts = []
+    for g in near_miss_graphs():
+        _, nbr = g.bitsets()
+        texts += [f"{_dims(nbr, mask)}\n" for mask in whole_rims_and_deletions(nbr)]
+    print(f"dims: {digest(''.join(texts))}")
 
 
 if __name__ == "__main__":
