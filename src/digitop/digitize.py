@@ -6,15 +6,20 @@ is the set of cubes its point set meets; the model graph has one
 vertex per cube, two cubes adjacent when they touch, which for closed
 cubes means every index differs by at most one.
 
-Circles, segments, sphere surfaces, and cube surfaces are tested
-against each cube exactly, via coordinate clamping or slab clipping.
-Implicit surfaces (zero sets of an expression in x, y[, z]) are tested
-by sampling the expression on each cube's corner lattice, refined by
-`subdivision_depth` halvings, and looking for a sign change; features
-thinner than the sample spacing can be missed, so implicit models are
-correct up to that resolution only.  That sampling is the only use of
-numpy, which is imported when an implicit shape is digitized and not
-before: vetting and compiling an expression need no numpy.
+Circles, segments, sphere surfaces, and cube surfaces go through one
+exact routine: each gives its per-axis extent and its box test
+(coordinate clamping or slab clipping), every box of the extent padded
+by one cell is tested, and the number of axes, checked where the shape
+is built, is the model's dimension.  Implicit surfaces (zero sets of
+an expression in x, y[, z]) are tested by sampling the expression on
+each cube's corner lattice, refined by `subdivision_depth` halvings,
+and looking for a sign change; features thinner than the sample
+spacing can be missed, so implicit models are correct up to that
+resolution only.  That sampling is the only use of numpy, which is
+imported when an implicit shape is digitized and not before: vetting
+and compiling an expression need no numpy.  Both paths count their
+boxes or samples before making any, and refuse more than
+_LATTICE_BOUND of them with CapacityError.
 """
 
 from __future__ import annotations
@@ -29,6 +34,8 @@ from .graph import Graph
 
 DEFAULT_CUBE_BUDGET = 200_000
 IMPLICIT_DEFAULT_BOUND = 8.0
+_LATTICE_BOUND = 64_000_000
+_MAX_NESTING = 200  # deeper expression trees are refused; compile's own limit varies by version
 
 _FUNCTIONS = ("sqrt", "sin", "cos", "tan", "exp", "log", "abs", "hypot", "minimum", "maximum")
 _CONSTANTS = {"pi": math.pi, "e": math.e}
@@ -42,10 +49,23 @@ _SYNTAX = (
 )
 
 
-def _check_finite(values, what: str) -> None:
-    for v in values:
+def _check_finite(what: str, n: int, points, *scalars) -> None:
+    """Each point a tuple or list of exactly n finite numbers, each scalar a finite number."""
+    for point in points:
+        if not isinstance(point, (tuple, list)) or len(point) != n:
+            raise DomainError(f"{what} need points of {n} coordinates, got {point!r}")
+    for v in (*(x for point in points for x in point), *scalars):
         if not isinstance(v, (int, float)) or not math.isfinite(v):
             raise DomainError(f"{what} must be finite numbers, got {v!r}")
+
+
+def _check_lattice(count: float, what: str) -> None:
+    """Refuse more than _LATTICE_BOUND boxes or samples; a count past the float range is inf or NaN."""
+    if not count <= _LATTICE_BOUND:
+        raise CapacityError(  # min(inf, NaN) is inf
+            f"{min(math.inf, count):.3g} {what}, above the lattice bound of {_LATTICE_BOUND:,}; "
+            "raise the edge length"
+        )
 
 
 @dataclass(frozen=True)
@@ -54,7 +74,7 @@ class Circle:
     radius: float
 
     def __post_init__(self):
-        _check_finite((*self.center, self.radius), "circle parameters")
+        _check_finite("circle parameters", 2, [self.center], self.radius)
         if self.radius <= 0:
             raise DomainError("circle radius must be positive")
 
@@ -65,7 +85,7 @@ class Segment:
     b: tuple[float, float]
 
     def __post_init__(self):
-        _check_finite((*self.a, *self.b), "segment endpoints")
+        _check_finite("segment endpoints", 2, [self.a, self.b])
 
 
 @dataclass(frozen=True)
@@ -74,7 +94,7 @@ class SphereSurface:
     radius: float
 
     def __post_init__(self):
-        _check_finite((*self.center, self.radius), "sphere parameters")
+        _check_finite("sphere parameters", 3, [self.center], self.radius)
         if self.radius <= 0:
             raise DomainError("sphere radius must be positive")
 
@@ -85,7 +105,7 @@ class CubeSurface:
     side: float
 
     def __post_init__(self):
-        _check_finite((*self.corner, self.side), "cube parameters")
+        _check_finite("cube parameters", 3, [self.corner], self.side)
         if self.side <= 0:
             raise DomainError("cube side must be positive")
 
@@ -115,27 +135,38 @@ def _vet_implicit(expression: str) -> tuple[ast.Expression, set[str]]:
     Only numeric constants, names, the operators + - * / ** % (unary +
     and - too) and positional calls to the functions in _FUNCTIONS get
     through; attribute access, subscripts, comprehensions, lambdas and
-    every other construct raise DomainError.
+    every other construct raise DomainError.  Integer constants become
+    floats, so a power such as 10**10**10 overflows into an error
+    instead of building a huge integer.
     """
     try:
         tree = ast.parse(expression, "<shape>", "eval")
-    except (SyntaxError, RecursionError) as exc:
-        raise DomainError(f"bad implicit expression: {exc}") from None
-    nodes = list(ast.walk(tree))
+    except (SyntaxError, RecursionError, MemoryError) as exc:  # MemoryError: nesting too deep
+        raise DomainError(f"bad implicit expression: {str(exc) or 'nested too deeply'}") from None
+    nodes, level = [], [tree]
+    for _ in range(_MAX_NESTING):  # ast.walk's order, one level of the tree at a time
+        nodes += level
+        level = [child for node in level for child in ast.iter_child_nodes(node)]
+        if not level:
+            break
+    else:
+        raise DomainError(f"implicit expression nested deeper than {_MAX_NESTING} levels")
     callees = {id(node.func) for node in nodes if isinstance(node, ast.Call)}
-    names: set[str] = set()
     for node in nodes:
         if not isinstance(node, _SYNTAX):
             raise DomainError(f"implicit expression may not contain {type(node).__name__}")
-        if isinstance(node, ast.Constant) and type(node.value) not in (int, float):
-            raise DomainError(f"implicit expression may not contain the constant {node.value!r}")
+        if isinstance(node, ast.Constant):
+            if type(node.value) not in (int, float):
+                raise DomainError(f"implicit expression may not contain the constant {node.value!r}")
+            try:
+                node.value = float(node.value)
+            except OverflowError:
+                raise DomainError("implicit expression constant too large for a float") from None
         if isinstance(node, ast.Call) and not (
             isinstance(node.func, ast.Name) and node.func.id in _FUNCTIONS
         ):
             raise DomainError(f"implicit expression may call only {sorted(_FUNCTIONS)}")
-        if isinstance(node, ast.Name) and id(node) not in callees:
-            names.add(node.id)
-    return tree, names
+    return tree, {node.id for node in nodes if isinstance(node, ast.Name) and id(node) not in callees}
 
 
 def compile_implicit(expression: str, dim: int):
@@ -144,14 +175,6 @@ def compile_implicit(expression: str, dim: int):
     stray = names - set(_CONSTANTS) - set(_VARIABLES[:dim])
     if stray:
         raise DomainError(f"implicit expression uses unknown names: {sorted(stray)}")
-    # Integer constants become floats, so a power such as 10**10**10
-    # overflows into an error instead of building a huge integer.
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Constant) and type(node.value) is int:
-            try:
-                node.value = float(node.value)
-            except OverflowError:
-                raise DomainError("implicit expression constant too large for a float") from None
     return compile(tree, "<shape>", "eval")
 
 
@@ -181,14 +204,6 @@ def cube_graph(cubes) -> Graph:
 # -- per-shape cube tests ----------------------------------------------------
 
 
-def _index_range(lo: float, hi: float, L: float) -> range:
-    return range(math.floor(lo / L) - 1, math.floor(hi / L) + 2)
-
-
-def _box(index: tuple[int, ...], L: float) -> list[tuple[float, float]]:
-    return [(c * L, (c + 1) * L) for c in index]
-
-
 def _sphere_meets_box(center, r: float, box) -> bool:
     """Whether the box's nearest and farthest points lie on either side of the sphere."""
     near = far = 0.0
@@ -197,19 +212,6 @@ def _sphere_meets_box(center, r: float, box) -> bool:
         near += max(lo_d, 0.0, -hi_d) ** 2
         far += max(abs(lo_d), abs(hi_d)) ** 2
     return near <= r * r <= far
-
-
-def _round_cubes(shape, L: float):
-    """Cubes meeting a circle or sphere surface: near <= r <= far."""
-    center, r = shape.center, shape.radius
-    ranges = [_index_range(c - r, c + r, L) for c in center]
-    return [i for i in product(*ranges) if _sphere_meets_box(center, r, _box(i, L))]
-
-
-def _segment_cubes(shape: Segment, L: float):
-    p, q = shape.a, shape.b
-    ranges = [_index_range(min(a, b), max(a, b), L) for a, b in zip(p, q)]
-    return [i for i in product(*ranges) if _segment_meets_box(p, q, _box(i, L))]
 
 
 def _segment_meets_box(p, q, box) -> bool:
@@ -229,12 +231,6 @@ def _segment_meets_box(p, q, box) -> bool:
     return True
 
 
-def _cube_surface_cubes(shape: CubeSurface, L: float):
-    corner, side = shape.corner, shape.side
-    ranges = [_index_range(c, c + side, L) for c in corner]
-    return [i for i in product(*ranges) if _surface_meets_box(corner, side, _box(i, L))]
-
-
 def _surface_meets_box(corner, side: float, box) -> bool:
     """Whether the box touches the closed cube without lying in its open interior."""
     touches = all(lo <= c + side and hi >= c for (lo, hi), c in zip(box, corner))
@@ -242,24 +238,37 @@ def _surface_meets_box(corner, side: float, box) -> bool:
     return touches and not inside
 
 
+def _exact_cubes(shape, L: float) -> tuple[int, list[tuple[int, ...]]]:
+    """The dimension of an analytic shape and the cubes its exact box test accepts."""
+    if isinstance(shape, (Circle, SphereSurface)):
+        meets, a, b = _sphere_meets_box, shape.center, shape.radius
+        extent = [(c - b, c + b) for c in a]
+    elif isinstance(shape, Segment):
+        meets, a, b = _segment_meets_box, shape.a, shape.b
+        extent = [(min(p, q), max(p, q)) for p, q in zip(a, b)]
+    elif isinstance(shape, CubeSurface):
+        meets, a, b = _surface_meets_box, shape.corner, shape.side
+        extent = [(c, c + b) for c in a]
+    else:
+        raise DomainError(f"unknown shape {shape!r}")
+    spans = [(lo / L, hi / L) for lo, hi in extent]  # floats, floored by // 1 without OverflowError
+    _check_lattice(math.prod(hi // 1 - lo // 1 + 3 for lo, hi in spans), "boxes to test")
+    ranges = [range(math.floor(lo) - 1, math.floor(hi) + 2) for lo, hi in spans]
+    return len(ranges), [i for i in product(*ranges) if meets(a, b, [(c * L, (c + 1) * L) for c in i])]
+
+
 def _implicit_cubes(shape: ImplicitSurface, L: float, depth: int, budget: int):
     import numpy as np  # the one numeric backend, loaded only to evaluate an expression
 
-    code = compile_implicit(shape.expression, shape.dim)
-    lo_idx = math.floor(-shape.bound / L)
-    hi_idx = math.ceil(shape.bound / L)
-    counts = hi_idx - lo_idx
     step = 1 << depth
-    samples = counts * step + 1
-    if samples ** shape.dim > 64_000_000:
-        raise CapacityError(
-            "implicit sampling lattice too large; lower the bound or depth, or raise edge length"
-        )
-    axis = np.linspace(lo_idx * L, hi_idx * L, samples)
+    half = -(-shape.bound / L // 1)  # ceil(bound / L) as a float: inf or NaN past the float range
+    _check_lattice(math.prod([2 * half * step + 1] * shape.dim), f"implicit samples at depth {depth}")
+    code = compile_implicit(shape.expression, shape.dim)
+    hi_idx = int(half)  # the lattice is symmetric: floor(-bound / L) == -hi_idx
+    samples = 2 * hi_idx * step + 1
+    axis = np.linspace(-hi_idx * L, hi_idx * L, samples)
     grids = np.meshgrid(*([axis] * shape.dim), indexing="ij", sparse=True)
-    env = {name: getattr(np, name) for name in _FUNCTIONS}
-    env.update(_CONSTANTS)
-    env.update(zip(_VARIABLES, grids))
+    env = dict(zip(_VARIABLES, grids), **_CONSTANTS, **{f: getattr(np, f) for f in _FUNCTIONS})
     try:
         values = eval(code, {"__builtins__": {}}, env)  # syntax vetted by _vet_implicit
     except Exception as exc:
@@ -272,11 +281,10 @@ def _implicit_cubes(shape: ImplicitSurface, L: float, depth: int, budget: int):
         sel[ax] = slice(0, None, step)
         lo_block = win_lo[tuple(sel)].min(axis=-1)
         hi_block = win_hi[tuple(sel)].max(axis=-1)
-    mask = (lo_block <= 0.0) & (hi_block >= 0.0)
-    hits = np.argwhere(mask)
+    hits = np.argwhere((lo_block <= 0.0) & (hi_block >= 0.0))
     if len(hits) > budget:
         raise CapacityError(f"implicit model has {len(hits)} cubes, above budget {budget}")
-    return [tuple(int(i) + lo_idx for i in hit) for hit in hits]
+    return [tuple(int(i) - hi_idx for i in hit) for hit in hits]
 
 
 def digitize(
@@ -296,21 +304,12 @@ def digitize(
     if not isinstance(subdivision_depth, int) or subdivision_depth < 0 or subdivision_depth > 12:
         raise DomainError("subdivision depth must be an integer in [0, 12]")
     L = float(edge_length)
-    if isinstance(shape, (Circle, SphereSurface)):
-        cubes = _round_cubes(shape, L)
-    elif isinstance(shape, Segment):
-        cubes = _segment_cubes(shape, L)
-    elif isinstance(shape, CubeSurface):
-        cubes = _cube_surface_cubes(shape, L)
-    elif isinstance(shape, ImplicitSurface):
-        cubes = _implicit_cubes(shape, L, subdivision_depth, max_cubes)
+    if isinstance(shape, ImplicitSurface):
+        dim, cubes = shape.dim, _implicit_cubes(shape, L, subdivision_depth, max_cubes)
     else:
-        raise DomainError(f"unknown shape {shape!r}")
+        dim, cubes = _exact_cubes(shape, L)
     if len(cubes) > max_cubes:
         raise CapacityError(f"model has {len(cubes)} cubes, above budget {max_cubes}")
-    dim = 2 if isinstance(shape, (Circle, Segment)) else (
-        shape.dim if isinstance(shape, ImplicitSurface) else 3
-    )
     cubes = frozenset(cubes)
     return CubicalModel(L, dim, cubes, cube_graph(cubes))
 

@@ -1,6 +1,9 @@
+import math
 import os
+import random
 import subprocess
 import sys
+from itertools import product
 from pathlib import Path
 
 import pytest
@@ -12,10 +15,14 @@ from digitop.digitize import (
     ImplicitSurface,
     Segment,
     SphereSurface,
+    _segment_meets_box,
+    _sphere_meets_box,
+    _surface_meets_box,
     cube_graph,
     digitize,
     parse_shape,
 )
+from digitop.cli import run
 from digitop.errors import CapacityError, DomainError
 from digitop.homotopy import SIZE_CAP, is_contractible
 from digitop.invariants import betti_numbers, invariant_report
@@ -139,11 +146,18 @@ def test_implicit_expression_safety_and_dim():
         "sqrt+x",
         "sqrt(x=1)",
         "1+" * 5000 + "x",  # nesting beyond the parser's limit
+        "1+" * 1000 + "x",  # parses, but deeper than the nesting bound
+        "x" + "**1" * 3000,  # the parser runs out of stack
     ):
         with pytest.raises(DomainError):
             ImplicitSurface(bad, 2)
         with pytest.raises(DomainError):
             parse_shape("implicit:" + bad)
+    for deep in ("1+" * 1000 + "x", "x" + "**1" * 3000):
+        result = run(["digitize", "implicit:" + deep, "--edge-length", "1"])
+        assert (result.exit_code, result.stdout) == (2, "")
+        assert result.stderr.startswith("error: ")
+    assert ImplicitSurface("1+" * 150 + "x", 2).dim == 2  # deep, but within the nesting bound
     for good in (
         "x*x + y*y - 9",
         "(x--1.5)**2/9+(y-0.25)**2/4-1",
@@ -169,6 +183,55 @@ def test_capacity_budget():
         digitize(Circle((0.0, 0.0), 3.0), 1.0, max_cubes=5)
 
 
+def test_lattice_bound_refuses_before_enumerating():
+    """An index past the float range, or 4e12 boxes to test, is refused before any box is made."""
+    for text, edge in (
+        ("circle:0,0,1e300", 1e-300),
+        ("segment:0,0,1e308,1e308", 1e-10),
+        ("circle:0,0,1e6", 1.0),
+    ):
+        with pytest.raises(CapacityError, match="lattice bound .*raise the edge length"):
+            digitize(parse_shape(text), edge)
+        result = run(["digitize", text, "--edge-length", str(edge)])
+        assert (result.exit_code, result.stdout) == (3, "")
+        assert result.stderr.startswith("capacity: ")
+    with pytest.raises(CapacityError, match="lattice bound"):
+        digitize(ImplicitSurface("x*x + y*y - 1", 2, 1e300), 1e-10)
+
+
+def test_exact_routine_misses_no_cube_outside_its_ranges():
+    """Brute force over index ranges three cells wider on every side finds the same cubes."""
+    rng = random.Random(24)
+    edges = (1.0, 0.5, 1 / 3, 0.3, 0.25)
+    for n in range(300):
+        L = edges[n % 5]
+
+        def point(dim):
+            if rng.random() < 0.5:  # a lattice point, where tangencies are exact
+                return tuple(rng.randint(-4, 4) * L for _ in range(dim))
+            return tuple(rng.uniform(-2.0, 2.0) for _ in range(dim))
+
+        size = rng.randint(1, 4) * L if rng.random() < 0.5 else rng.uniform(0.1, 1.5)
+        kind = n % 4
+        if kind in (0, 2):
+            shape = (Circle if kind == 0 else SphereSurface)(point(2 + kind // 2), size)
+            meets, args = _sphere_meets_box, (shape.center, size)
+            extent = [(c - size, c + size) for c in shape.center]
+        elif kind == 1:
+            shape = Segment(point(2), point(2))
+            meets, args = _segment_meets_box, (shape.a, shape.b)
+            extent = [(min(p, q), max(p, q)) for p, q in zip(shape.a, shape.b)]
+        else:
+            shape = CubeSurface(point(3), size)
+            meets, args = _surface_meets_box, (shape.corner, size)
+            extent = [(c, c + size) for c in shape.corner]
+        ranges = [range(math.floor(lo / L) - 4, math.floor(hi / L) + 5) for lo, hi in extent]
+        brute = {
+            i for i in product(*ranges) if meets(*args, [(c * L, (c + 1) * L) for c in i])
+        }
+        assert digitize(shape, L).cubes == brute, (shape, L)
+
+
 def test_parameter_validation():
     with pytest.raises(DomainError):
         digitize(Circle((0.0, 0.0), 1.0), 0.0)
@@ -180,6 +243,25 @@ def test_parameter_validation():
         Circle((0.0, 0.0), -2.0)
     with pytest.raises(DomainError):
         CubeSurface((0.0, 0.0, 0.0), 0.0)
+    for make in (
+        lambda: Circle((0.0, 0.0, 0.0), 1.0),  # a 3-d centre for a 2-d shape
+        lambda: SphereSurface((0.0, 0.0), 1.0),  # a 2-d centre for a 3-d shape
+        lambda: Segment((0.0, 0.0), (1.0,)),  # endpoints of different sizes
+        lambda: Circle(5, 1.0),
+        lambda: CubeSurface("012", 1.0),
+        lambda: Segment((0.0, float("inf")), (1.0, 1.0)),
+    ):
+        with pytest.raises(DomainError):
+            make()
+    for shape in (
+        Circle((0.5, 0.0), 1.5),
+        Segment((0.0, 0.0), (2.0, 1.0)),
+        SphereSurface((0.0, 0.0, 0.0), 1.5),
+        CubeSurface((0.0, 0.0, 0.0), 1.0),
+        ImplicitSurface("x*x + y*y + z*z - 4", 3, 3.0),
+    ):
+        model = digitize(shape, 0.5)
+        assert model.cubes and all(len(i) == model.dim for i in model.cubes)
 
 
 def test_parse_shape():
