@@ -117,13 +117,21 @@ class ImplicitSurface:
     expression: str
     dim: int
     bound: float = IMPLICIT_DEFAULT_BOUND
+    _code: object = field(init=False, compare=False, repr=False)  # the vetted, compiled expression
 
     def __post_init__(self):
         if self.dim not in (2, 3):
             raise DomainError("implicit surfaces live in 2 or 3 dimensions")
         if not (isinstance(self.bound, (int, float)) and math.isfinite(self.bound) and self.bound > 0):
             raise DomainError("implicit bound must be a positive finite number")
-        compile_implicit(self.expression, self.dim)
+        tree, names = _vet_implicit(self.expression)
+        stray = names - set(_CONSTANTS) - set(_VARIABLES[: self.dim])
+        if stray:
+            raise DomainError(f"implicit expression uses unknown names: {sorted(stray)}")
+        object.__setattr__(self, "_code", compile(tree, "<shape>", "eval"))
+
+    def __reduce__(self):  # a code object does not pickle, so rebuild it from the fields
+        return ImplicitSurface, (self.expression, self.dim, self.bound)
 
 
 Shape = Circle | Segment | SphereSurface | CubeSurface | ImplicitSurface
@@ -167,15 +175,6 @@ def _vet_implicit(expression: str) -> tuple[ast.Expression, set[str]]:
         ):
             raise DomainError(f"implicit expression may call only {sorted(_FUNCTIONS)}")
     return tree, {node.id for node in nodes if isinstance(node, ast.Name) and id(node) not in callees}
-
-
-def compile_implicit(expression: str, dim: int):
-    """Compile a vetted implicit expression in the first `dim` of x, y, z, plus pi and e."""
-    tree, names = _vet_implicit(expression)
-    stray = names - set(_CONSTANTS) - set(_VARIABLES[:dim])
-    if stray:
-        raise DomainError(f"implicit expression uses unknown names: {sorted(stray)}")
-    return compile(tree, "<shape>", "eval")
 
 
 @dataclass(frozen=True)
@@ -263,14 +262,13 @@ def _implicit_cubes(shape: ImplicitSurface, L: float, depth: int, budget: int):
     step = 1 << depth
     half = -(-shape.bound / L // 1)  # ceil(bound / L) as a float: inf or NaN past the float range
     _check_lattice(math.prod([2 * half * step + 1] * shape.dim), f"implicit samples at depth {depth}")
-    code = compile_implicit(shape.expression, shape.dim)
     hi_idx = int(half)  # the lattice is symmetric: floor(-bound / L) == -hi_idx
     samples = 2 * hi_idx * step + 1
     axis = np.linspace(-hi_idx * L, hi_idx * L, samples)
     grids = np.meshgrid(*([axis] * shape.dim), indexing="ij", sparse=True)
     env = dict(zip(_VARIABLES, grids), **_CONSTANTS, **{f: getattr(np, f) for f in _FUNCTIONS})
     try:
-        values = eval(code, {"__builtins__": {}}, env)  # syntax vetted by _vet_implicit
+        values = eval(shape._code, {"__builtins__": {}}, env)  # syntax vetted by _vet_implicit
     except Exception as exc:
         raise DomainError(f"implicit expression failed to evaluate: {exc}") from None
     lo_block = hi_block = np.broadcast_to(np.asarray(values, dtype=float), (samples,) * shape.dim)

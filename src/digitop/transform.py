@@ -15,13 +15,13 @@ free numbers.  A log replays or inverts on one set of masks.
 
 An edge (a, b) is simple iff no edge joins A = N(a) - N[b] and B = N(b) - N[a].
 When compression merges (x, y) into z, call z's x-only, y-only and shared
-neighbours X, Y and S, and every other point O.  Each edge left is rechecked so:
+neighbours X, Y and S, and every other point O.  The edges left fare so:
 
-  edges                    why                                             recheck
-  at z                     all were dropped with x and y                   full test
-  S-X, S-Y                 the S end lost y (x), so its A only shrinks     full test, if not simple
-  X-O, Y-O                 z stands for x (y) in A, seeing Y (X) as well   drop if the O end sees Y (X)
-  X-X, Y-Y, S-S, S-O, O-O  A, B and their edges are the same; for S-O,     none
+  edges                    why                                             after the merge
+  at z                     all were dropped with x and y                   pushed to pending
+  S-X, S-Y                 the S end lost y (x), so its A only shrinks     pushed to pending
+  X-O, Y-O                 z stands for x (y) in A, seeing Y (X) as well   none, tested when popped
+  X-X, Y-Y, S-S, S-O, O-O  A, B and their edges are the same; for S-O,     none, tested when popped
                            z's edges into B are x's plus y's
   X-Y                      none exist, since the pair was simple           -
 """
@@ -78,7 +78,7 @@ class _Masks:
             heapq.heappush(self.free, int(k))
 
     def labels(self, mask: int) -> frozenset[str]:
-        return frozenset(self.verts[i] for i in bits(mask))
+        return frozenset(map(self.verts.__getitem__, bits(mask)))
 
     def edge(self, x: str, y: str) -> tuple[int, int]:
         i, j = self.at.get(x), self.at.get(y)
@@ -93,35 +93,45 @@ class _Masks:
         """Merge the simple pair x, y into one point, which takes x's slot; return it and
         the masks of its x-only, y-only and shared neighbours."""
         i, j = self.edge(x, y)
-        nbr = self.nbr
-        if not _simple(nbr, i, j):
+        if not _simple(self.nbr, i, j):
             raise DomainError(f"({x!r}, {y!r}) is not a simple pair")
-        z = self.fresh() if z_label is None else check_label(z_label)
-        if z in self.at:
-            raise DomainError(f"label {z!r} is already a vertex")
+        if z_label is not None and check_label(z_label) in self.at:
+            raise DomainError(f"label {z_label!r} is already a vertex")
+        return self._merge(i, j, z_label)
+
+    def _merge(self, i: int, j: int, z: str | None = None) -> tuple[str, int, int, int]:
+        """`contract` on slots i and j, a simple pair, with no test; z is an unused label or None."""
+        z = self.fresh() if z is None else z
+        nbr = self.nbr
         ni, nj = nbr[i], nbr[j]
         x_only, y_only, shared = (ni & ~nj) ^ (1 << j), (nj & ~ni) ^ (1 << i), ni & nj
         for w in bits(y_only | shared):
             nbr[w] = nbr[w] & ~(1 << j) | 1 << i
         nbr[i], nbr[j] = x_only | y_only | shared, 0
-        self._drop(x)
-        self._drop(y)
+        self._drop(self.verts[i])
+        self._drop(self.verts[j])
         self.spare.append(j)
         self.verts[i], self.at[z] = z, i
         return z, x_only, y_only, shared
 
     def split(self, z: str, x_only, y_only, shared, labels: tuple[str, str] | None) -> tuple[str, str]:
         """Replace the point z by an adjacent simple pair; x takes z's slot and y a free one."""
-        x_only, y_only, shared = frozenset(x_only), frozenset(y_only), frozenset(shared)
         at, nbr, verts = self.at, self.nbr, self.verts
         k = at.get(z)
         if k is None:
             raise DomainError(f"unknown vertex {z!r}")
-        px, py, ps = (sum(1 << at[v] for v in part if v in at) for part in (x_only, y_only, shared))
-        if px | py | ps != nbr[k] or len(x_only) + len(y_only) + len(shared) != nbr[k].bit_count():
+        parts, masks = (frozenset(x_only), frozenset(y_only), frozenset(shared)), []
+        for part in parts:
+            mask = 0
+            for v in part:  # an unknown label sets z's own bit, which fails the check below
+                mask |= 1 << at.get(v, k)
+            masks.append(mask)
+        (xs, ys, ss), (px, py, ps) = parts, masks
+        if px | py | ps != nbr[k] or len(xs) + len(ys) + len(ss) != nbr[k].bit_count():
             raise DomainError("x_only, y_only, shared must partition the neighbors of z")
-        for a in bits(px):
-            if nbr[a] & py:
+        small, other = (xs, py) if len(xs) <= len(ys) else (ys, px)
+        for v in small:  # every label is a neighbour of z by now
+            if nbr[at[v]] & other:
                 crossing = min((verts[u], verts[v]) for u in bits(px) for v in bits(nbr[u] & py))
                 raise DomainError(f"edge between exclusive parts {crossing}; split would not be simple")
         x, y = (self.fresh(), self.fresh()) if labels is None else map(check_label, labels)
@@ -134,10 +144,10 @@ class _Masks:
         if j == len(nbr):  # no freed slot: open a new one
             verts.append(None)
             nbr.append(0)
-        for w in bits(py):
-            nbr[w] ^= 1 << k | 1 << j
-        for w in bits(ps):
-            nbr[w] ^= 1 << j
+        for v in ys:
+            nbr[at[v]] ^= 1 << k | 1 << j
+        for v in ss:
+            nbr[at[v]] ^= 1 << j
         nbr[k], nbr[j] = px | ps | 1 << j, py | ps | 1 << k
         self._drop(z)
         verts[k], verts[j], at[x], at[y] = x, y, k, j
@@ -237,13 +247,12 @@ class TransformLog:
     def invert(self, g: Graph) -> Graph:
         """Undo the whole log starting from its final graph."""
         m = _Masks(g)
-        for step in reversed(self.steps):
-            step.inverse()._apply(m)
+        for s in reversed(self.steps):
+            if s.kind == "contract" and None not in (s.x_only, s.y_only, s.shared):
+                m.split(s.z, s.x_only, s.y_only, s.shared, (s.x, s.y))
+            else:  # a step with no partition raises; any other kind undoes as a contraction
+                s.inverse()._apply(m)
         return m.graph()
-
-
-def _edge(u: str, v: str) -> tuple[str, str]:
-    return (u, v) if u < v else (v, u)
 
 
 def compress(g: Graph) -> tuple[Graph, TransformLog]:
@@ -251,42 +260,31 @@ def compress(g: Graph) -> tuple[Graph, TransformLog]:
 
     The result has no simple pairs and the same homotopy type; the log
     replays the exact contraction sequence, fresh labels included.
-    `live` holds the edges that are simple now; the heap holds each of
-    them at least once, so the first live edge popped is the smallest.
-    After each merge, only the edges that the module docstring's table
-    names are rechecked.
+    Every edge starts pending on a heap and is tested when popped; a merge
+    pushes back only the edges that the module docstring's table says can
+    become simple.  So pending always holds every simple edge, and the first
+    popped pair that tests simple is the smallest.
     """
     m = _Masks(g)
     nbr, verts, at = m.nbr, m.verts, m.at
-    live = {(verts[a], verts[b]) for b, nb in enumerate(nbr) for a in bits(nb & (1 << b) - 1)
-            if _simple(nbr, a, b)}
-    heap = sorted(live)
+    heap = g.sorted_edges()  # sorted, so already a heap
+    pending = set(heap)
     steps: list[TransformStep] = []
     while heap:
-        x, y = heapq.heappop(heap)
-        if (x, y) not in live:
-            continue
-        z, px, py, ps = m.contract(x, y, None)
+        x, y = e = heapq.heappop(heap)
+        pending.remove(e)
+        i, j = at.get(x), at.get(y)
+        if i is None or j is None or not nbr[i] >> j & 1 or not _simple(nbr, i, j):
+            continue  # gone, apart or not simple; a pair with a re-issued label names the new point
+        z, px, py, ps = m._merge(i, j)
         steps.append(TransformStep("contract", x, y, z, *map(m.labels, (px, py, ps))))
-        live.discard((x, y))
-        live.difference_update(_edge(x, verts[w]) for w in bits(px | ps))
-        live.difference_update(_edge(y, verts[w]) for w in bits(py | ps))
-        k = at[z]
-        tests = [(k, b) for b in bits(nbr[k])]  # full tests: at z, then S-X and S-Y
-        tests += [(a, b) for a in bits(ps) for b in bits(nbr[a] & (px | py))]
-        for a, b in tests:
-            e = _edge(verts[a], verts[b])
-            if e not in live and _simple(nbr, a, b):
-                live.add(e)
+        pushed = [(z, verts[b]) for b in bits(nbr[i])]  # at z, then S-X and S-Y
+        pushed += [(verts[a], verts[b]) for a in bits(ps) for b in bits(nbr[a] & (px | py))]
+        for u, v in pushed:
+            e = (u, v) if u < v else (v, u)
+            if e not in pending:
+                pending.add(e)
                 heapq.heappush(heap, e)
-        sees_x = sees_y = 0
-        for w in bits(px):
-            sees_x |= nbr[w]
-        for w in bits(py):
-            sees_y |= nbr[w]
-        for b in bits(sees_x & sees_y & ~(nbr[k] | 1 << k)):  # O points that see X and Y
-            for a in bits(nbr[b] & (px | py)):
-                live.discard(_edge(verts[a], verts[b]))
     # a fixpoint comes back as the same object, which saves rebuilding it
     return (m.graph() if steps else g), TransformLog(tuple(steps))
 

@@ -1,5 +1,7 @@
+import ast
 import math
 import os
+import pickle
 import random
 import subprocess
 import sys
@@ -165,6 +167,20 @@ def test_implicit_expression_safety_and_dim():
     ):
         assert ImplicitSurface(good, 2).dim == 2
     assert parse_shape("implicit:x*x+y*y+z*z-9").dim == 3
+
+
+def test_implicit_expression_is_compiled_once_where_the_shape_is_built(monkeypatch):
+    parses = []
+    parse = ast.parse
+    monkeypatch.setattr(ast, "parse", lambda *args, **kw: parses.append(args) or parse(*args, **kw))
+    model = digitize(parse_shape("implicit:x*x+y*y-9"), 1.0)
+    assert len(parses) == 2  # parse_shape looks for z, and ImplicitSurface compiles
+    assert model.cubes == digitize(Circle((0.0, 0.0), 3.0), 1.0).cubes
+    shape = ImplicitSurface("x*x + y*y - 9", 2, 4.0)
+    assert repr(shape) == "ImplicitSurface(expression='x*x + y*y - 9', dim=2, bound=4.0)"
+    copy = pickle.loads(pickle.dumps(shape))
+    assert copy == shape and hash(copy) == hash(shape)
+    assert digitize(copy, 1.0).cubes == digitize(shape, 1.0).cubes
 
 
 def test_implicit_powers_overflow_instead_of_growing_integers():

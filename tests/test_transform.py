@@ -9,7 +9,8 @@ from pathlib import Path
 import pytest
 
 from corpus import connected_graphs, has_induced_c4_through, plain_log_replay, record_graphs
-from digitop.digitize import Circle, CubeSurface, SphereSurface, digitize, parse_shape
+from digitop import transform
+from digitop.digitize import Circle, CubeSurface, SphereSurface, cube_graph, digitize, parse_shape
 from digitop.errors import DomainError
 from digitop.gallery import gallery, gallery_names
 from digitop.graph import Graph, format_graph
@@ -237,6 +238,15 @@ def dense_random_cases():
         yield random_graph(rng, rng.randint(8, 14), (0.3, 0.5, 0.7)[k % 3])
 
 
+def random_cube_cases():
+    """Seeded random subsets of a 4x4x4 cube lattice: 26-adjacent merges share large
+    neighbourhoods, so popped pairs are often stale and labels are often re-issued."""
+    rng = random.Random(21)
+    lattice = [(a, b, c) for a in range(4) for b in range(4) for c in range(4)]
+    for k in range(60):
+        yield cube_graph([c for c in lattice if rng.random() < (0.3, 0.5, 0.7)[k % 3]])
+
+
 def equivalence_cases():
     for g in connected_graphs(7):
         yield g
@@ -244,6 +254,7 @@ def equivalence_cases():
         yield gallery(name)
     yield from z_labelled_cases()
     yield from dense_random_cases()
+    yield from random_cube_cases()
     yield from digitized_cases()
 
 
@@ -280,6 +291,22 @@ def test_compress_output_on_the_pipeline_shapes_is_pinned(monkeypatch):
             small, log = compress(digitize(parse_shape(text), length).graph)
             out += [format_log(log), format_graph(small)]
     assert hashlib.sha256("".join(out).encode()).hexdigest()[:16] == "f2acceff1220a1ef"
+
+
+def test_compress_tests_each_popped_pair_once_on_the_pipeline_shapes(monkeypatch):
+    """Simple-pair tests that compress makes on the benchmark's 19 seed-0 pipeline shapes.
+
+    Retesting every edge near each merge as it happened took 18,726 tests; testing each
+    pending pair once, when it is popped, takes 3,017 for the same 963 contractions.
+    """
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "bench"))
+    from workloads import Pipeline
+
+    graphs = [digitize(parse_shape(text), length).graph for _, text, length, _ in Pipeline(0).shapes]
+    calls, simple = [], transform._simple
+    monkeypatch.setattr(transform, "_simple", lambda *args: calls.append(args) or simple(*args))
+    steps = sum(len(compress(g)[1].steps) for g in graphs)
+    assert (len(calls), steps) == (3017, 963)
 
 
 def test_compress_replay_and_invert_build_one_graph(monkeypatch):
