@@ -8,6 +8,13 @@ Exit codes follow one convention across all subcommands:
     3  capacity limit exceeded
 
 Output is plain text, one fact per line, deterministic for identical inputs.
+
+Each handler takes `(args, graph)` and returns `(exit_code, payload)`;
+errors propagate as exceptions.  `run` is the one place that reads a
+subcommand's graph file, before any other argument is used, when the
+subcommand has a `file` positional (`graph` is None for the others).  It
+is also the one place that routes the payload through `_emit`, so a
+subcommand with `-o` writes it to that file and leaves stdout empty.
 """
 
 from __future__ import annotations
@@ -66,11 +73,13 @@ def _parse_csv(field: str) -> frozenset[str]:
 
 
 # -- subcommand handlers -----------------------------------------------------
-# Each returns (exit_code, stdout payload); errors propagate as exceptions.
 
 
-def _cmd_classify(args) -> tuple[int, str]:
-    g = read_graph(args.file)
+def _yes_no(ok: bool) -> tuple[int, str]:
+    return (0, "yes\n") if ok else (1, "no\n")
+
+
+def _cmd_classify(args, g: Graph) -> tuple[int, str]:
     c = classify(g)
     out = c.describe() + "\n"
     if c.compressed_from is not None:
@@ -78,43 +87,37 @@ def _cmd_classify(args) -> tuple[int, str]:
     return 0, out
 
 
-def _cmd_contractible(args) -> tuple[int, str]:
-    g = read_graph(args.file)
+def _cmd_contractible(args, g: Graph) -> tuple[int, str]:
     if args.certificate:
         cert = contractibility_certificate(g)
         if cert is None:
-            return 1, "no\n"
+            return _yes_no(False)
         return 0, "yes\n" + format_certificate(cert)
-    return (0, "yes\n") if is_contractible(g) else (1, "no\n")
+    return _yes_no(is_contractible(g))
 
 
-def _cmd_simple_point(args) -> tuple[int, str]:
-    g = read_graph(args.file)
-    return (0, "yes\n") if is_simple_point(g, args.vertex) else (1, "no\n")
+def _cmd_simple_point(args, g: Graph) -> tuple[int, str]:
+    return _yes_no(is_simple_point(g, args.vertex))
 
 
-def _cmd_simple_pair(args) -> tuple[int, str]:
-    g = read_graph(args.file)
-    return (0, "yes\n") if is_simple_pair(g, args.x, args.y) else (1, "no\n")
+def _cmd_simple_pair(args, g: Graph) -> tuple[int, str]:
+    return _yes_no(is_simple_pair(g, args.x, args.y))
 
 
-def _cmd_compress(args) -> tuple[int, str]:
-    g = read_graph(args.file)
+def _cmd_compress(args, g: Graph) -> tuple[int, str]:
     comp, log = compress(g)
     if args.log is not None:
         with open(args.log, "w", encoding="utf-8") as fh:
             fh.write(format_log(log))
-    return 0, _emit(format_graph(comp), args.output)
+    return 0, format_graph(comp)
 
 
-def _cmd_contract(args) -> tuple[int, str]:
-    g = read_graph(args.file)
+def _cmd_contract(args, g: Graph) -> tuple[int, str]:
     result, _ = contract_pair(g, args.x, args.y)
-    return 0, _emit(format_graph(result), args.output)
+    return 0, format_graph(result)
 
 
-def _cmd_split(args) -> tuple[int, str]:
-    g = read_graph(args.file)
+def _cmd_split(args, g: Graph) -> tuple[int, str]:
     labels = None
     if args.labels is not None:
         parts = args.labels.split(",")
@@ -129,11 +132,10 @@ def _cmd_split(args) -> tuple[int, str]:
         _parse_csv(args.shared),
         labels=labels,
     )
-    return 0, _emit(format_graph(result), args.output)
+    return 0, format_graph(result)
 
 
-def _cmd_separate(args) -> tuple[int, str]:
-    g = read_graph(args.file)
+def _cmd_separate(args, g: Graph) -> tuple[int, str]:
     parts = separate(g, _parse_csv(args.remove))
     lines = [f"parts: {len(parts)}"]
     for i, part in enumerate(parts, start=1):
@@ -142,30 +144,26 @@ def _cmd_separate(args) -> tuple[int, str]:
     return code, "".join(line + "\n" for line in lines)
 
 
-def _cmd_euler(args) -> tuple[int, str]:
-    g = read_graph(args.file)
+def _cmd_euler(args, g: Graph) -> tuple[int, str]:
     return 0, f"{euler_characteristic(g)}\n"
 
 
-def _cmd_betti(args) -> tuple[int, str]:
-    g = read_graph(args.file)
+def _cmd_betti(args, g: Graph) -> tuple[int, str]:
     return 0, " ".join(str(b) for b in betti_numbers(g)) + "\n"
 
 
-def _cmd_report(args) -> tuple[int, str]:
-    g = read_graph(args.file)
+def _cmd_report(args, g: Graph) -> tuple[int, str]:
     return 0, format_report(invariant_report(g))
 
 
-def _cmd_digitize(args) -> tuple[int, str]:
+def _cmd_digitize(args, _) -> tuple[int, str]:
     shape = parse_shape(args.shape)
     model = digitize(shape, args.edge_length, args.depth)
-    return 0, _emit(format_graph(model.graph), args.output)
+    return 0, format_graph(model.graph)
 
 
-def _cmd_gallery(args) -> tuple[int, str]:
-    g = gallery(args.name)
-    return 0, _emit(format_graph(g), args.output)
+def _cmd_gallery(args, _) -> tuple[int, str]:
+    return 0, format_graph(gallery(args.name))
 
 
 # -- batch verification ------------------------------------------------------
@@ -196,7 +194,7 @@ def _verify_compression(g: Graph, target) -> bool:
     return propose_isomorphism(comp, minimal_sphere(target)) is not None
 
 
-def _cmd_verify(args) -> tuple[int, str]:
+def _cmd_verify(args, _) -> tuple[int, str]:
     lines = []
     failures = 0
     for name in gallery_names():
@@ -230,73 +228,52 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name: str, handler, help_text: str):
-        p = sub.add_parser(name, help=help_text)
+    def add(name: str, handler, help_text: str, *positionals: str, parent=sub):
+        p = parent.add_parser(name, help=help_text)
         p.set_defaults(handler=handler)
+        for positional in positionals:
+            p.add_argument(positional)
         return p
 
-    p = add("classify", _cmd_classify, "most specific topological verdict for a graph")
-    p.add_argument("file")
+    add("classify", _cmd_classify, "most specific topological verdict for a graph", "file")
 
-    p = add("contractible", _cmd_contractible, "is the graph reducible to one point")
-    p.add_argument("file")
+    p = add("contractible", _cmd_contractible, "is the graph reducible to one point", "file")
     p.add_argument("--certificate", action="store_true", help="print a replayable deletion order")
 
-    p = add("simple-point", _cmd_simple_point, "is the vertex deletable without changing homotopy type")
-    p.add_argument("file")
-    p.add_argument("vertex")
+    add("simple-point", _cmd_simple_point, "is the vertex deletable without changing homotopy type", "file", "vertex")
+    add("simple-pair", _cmd_simple_pair, "is the edge contractible without changing homotopy type", "file", "x", "y")
 
-    p = add("simple-pair", _cmd_simple_pair, "is the edge contractible without changing homotopy type")
-    p.add_argument("file")
-    p.add_argument("x")
-    p.add_argument("y")
-
-    p = add("compress", _cmd_compress, "contract simple pairs until none remain")
-    p.add_argument("file")
+    p = add("compress", _cmd_compress, "contract simple pairs until none remain", "file")
     p.add_argument("-o", "--output", help="write the compressed graph here instead of stdout")
     p.add_argument("--log", help="write the replayable contraction log here")
 
     tr = sub.add_parser("transform", help="apply a single contraction or split")
     tr_sub = tr.add_subparsers(dest="transform_command", required=True)
 
-    p = tr_sub.add_parser("contract", help="contract a simple pair into a fresh point")
-    p.set_defaults(handler=_cmd_contract)
-    p.add_argument("file")
-    p.add_argument("x")
-    p.add_argument("y")
+    p = add("contract", _cmd_contract, "contract a simple pair into a fresh point", "file", "x", "y", parent=tr_sub)
     p.add_argument("-o", "--output")
 
-    p = tr_sub.add_parser("split", help="split a point into an adjacent simple pair")
-    p.set_defaults(handler=_cmd_split)
-    p.add_argument("file")
-    p.add_argument("z")
+    p = add("split", _cmd_split, "split a point into an adjacent simple pair", "file", "z", parent=tr_sub)
     p.add_argument("--x-only", default="", help="comma-separated neighbors for the first point only")
     p.add_argument("--y-only", default="", help="comma-separated neighbors for the second point only")
     p.add_argument("--shared", default="", help="comma-separated neighbors of both points")
     p.add_argument("--labels", help="labels for the two new points, as x,y (default: fresh)")
     p.add_argument("-o", "--output")
 
-    p = add("separate", _cmd_separate, "list components left after deleting a vertex set")
-    p.add_argument("file")
+    p = add("separate", _cmd_separate, "list components left after deleting a vertex set", "file")
     p.add_argument("--remove", required=True, help="comma-separated separating vertex set")
 
-    p = add("euler", _cmd_euler, "Euler characteristic (alternating clique-count sum)")
-    p.add_argument("file")
+    add("euler", _cmd_euler, "Euler characteristic (alternating clique-count sum)", "file")
+    add("betti", _cmd_betti, "mod-2 Betti numbers of the clique complex", "file")
+    add("report", _cmd_report, "clique counts, Euler characteristic, and Betti numbers", "file")
 
-    p = add("betti", _cmd_betti, "mod-2 Betti numbers of the clique complex")
-    p.add_argument("file")
-
-    p = add("report", _cmd_report, "clique counts, Euler characteristic, and Betti numbers")
-    p.add_argument("file")
-
-    p = add("digitize", _cmd_digitize, "cubical model of a shape (circle:.., segment:.., sphere:.., cubesurf:.., implicit:..)")
-    p.add_argument("shape")
+    p = add("digitize", _cmd_digitize,
+            "cubical model of a shape (circle:.., segment:.., sphere:.., cubesurf:.., implicit:..)", "shape")
     p.add_argument("--edge-length", type=float, required=True, help="grid cube edge length")
     p.add_argument("--depth", type=int, default=0, help="sample-lattice refinement for implicit shapes")
     p.add_argument("-o", "--output")
 
-    p = add("gallery", _cmd_gallery, "emit a named reference graph: " + ", ".join(gallery_names()))
-    p.add_argument("name")
+    p = add("gallery", _cmd_gallery, "emit a named reference graph: " + ", ".join(gallery_names()), "name")
     p.add_argument("-o", "--output")
 
     add("verify", _cmd_verify, "run the property checks over the whole gallery")
@@ -316,10 +293,9 @@ def run(argv) -> CommandResult:
         code = exc.code if isinstance(exc.code, int) else 2
         return CommandResult(code, "")
     try:
-        code, out = args.handler(args)
-    except DomainError as exc:
-        return CommandResult(2, "", f"error: {exc}\n")
-    except OSError as exc:
+        code, out = args.handler(args, read_graph(args.file) if "file" in args else None)
+        out = _emit(out, getattr(args, "output", None))
+    except (DomainError, OSError) as exc:
         return CommandResult(2, "", f"error: {exc}\n")
     except CapacityError as exc:
         return CommandResult(3, "", f"capacity: {exc}\n")

@@ -302,7 +302,11 @@ def format_graph(g: Graph) -> str:
 
 def read_graph(path) -> Graph:
     with open(path, encoding="utf-8") as fh:
-        return parse_graph(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise DomainError(f"{path}: not UTF-8 text") from exc
+    return parse_graph(text)
 
 
 def write_graph(g: Graph, path) -> None:

@@ -27,8 +27,12 @@ searched exactly as without it, so the guard never raises and never
 decides what it has not checked.
 
 Each public entry converts its graph once; the searches recurse on
-vertex masks (see `graph`).  Certificate replay runs every step on one
-mask, through the check behind `is_simple_point` and `is_simple_edge`.
+vertex masks (see `graph`).  `_entry` is the one place where a query on
+a whole graph, here or in `manifold`, checks the size cap and converts
+the graph.  `is_simple_point`, `is_simple_edge` and certificate replay
+cap the rim instead, through `_simple`; replay runs every step on one
+mask.  The search and the certificate walk branch on one rule,
+`_deletion`.
 Verdicts are memoized process-wide in one table shared with `manifold`,
 keyed by question and the canonical form of the node's mask.  They are
 isomorphism-invariant and the table is append-only, so sharing it across
@@ -71,6 +75,13 @@ def _check_cap(n: int, size_cap: int) -> None:
         )
 
 
+def _entry(g: Graph, size_cap: int) -> tuple[list[str], list[int], int]:
+    """The labels and neighbour masks of g and the mask of all its points, once g is within the cap."""
+    _check_cap(g.vertex_count, size_cap)
+    verts, nbr = g.bitsets()
+    return verts, nbr, (1 << len(verts)) - 1
+
+
 def _homology_matches(nbr: list[int], mask: int, betti: tuple[int, ...]) -> bool | None:
     """Whether the clique complex on mask has these mod-2 Betti numbers (trailing zeros trimmed).
 
@@ -90,9 +101,8 @@ def _homology_matches(nbr: list[int], mask: int, betti: tuple[int, ...]) -> bool
 
 def is_contractible(g: Graph, *, size_cap: int = SIZE_CAP) -> bool:
     """True iff some sequence of simple point deletions reaches a single vertex."""
-    _check_cap(g.vertex_count, size_cap)
-    _, nbr = g.bitsets()
-    return _contractible(nbr, (1 << len(nbr)) - 1)
+    _, nbr, whole = _entry(g, size_cap)
+    return _contractible(nbr, whole)
 
 
 def _contractible(nbr: list[int], mask: int, *, guard: bool = True) -> bool:
@@ -112,13 +122,16 @@ def _contractible(nbr: list[int], mask: int, *, guard: bool = True) -> bool:
     hit = _VERDICTS.get(key)
     if hit is not None:
         return hit
-    result = False
+    result = _VERDICTS[key] = _deletion(nbr, mask, guard) is not None
+    return result
+
+
+def _deletion(nbr: list[int], mask: int, guard: bool) -> int | None:
+    """The smallest point of mask whose rim and whose deletion are contractible, or None."""
     for i in bits(mask):
         if _contractible(nbr, nbr[i] & mask) and _contractible(nbr, mask ^ (1 << i), guard=guard):
-            result = True
-            break
-    _VERDICTS[key] = result
-    return result
+            return i
+    return None
 
 
 def _simple(at: dict[str, int], nbr: list[int], mask: int, labels: tuple, size_cap: int) -> bool:
@@ -212,22 +225,18 @@ def parse_certificate(text: str) -> ReductionCertificate:
 def contractibility_certificate(g: Graph, *, size_cap: int = SIZE_CAP) -> ReductionCertificate | None:
     """A deletion order reaching a single vertex, or None when not contractible.
 
-    Deterministic: each step deletes the smallest-labelled simple point
-    whose deletion leaves a contractible graph, which is the first
-    branch the depth-first search would succeed on, so equal inputs give
-    equal certificates.
+    Deterministic: each step deletes the point `_deletion` picks, the
+    smallest-labelled simple point whose deletion leaves a contractible
+    graph, which is the branch the search itself succeeds on first, so
+    equal inputs give equal certificates.
     """
-    _check_cap(g.vertex_count, size_cap)
-    verts, nbr = g.bitsets()
-    mask = (1 << len(verts)) - 1
+    verts, nbr, mask = _entry(g, size_cap)
     if not _contractible(nbr, mask):
         return None
     order: list[str] = []
     while mask & (mask - 1):
-        for i in bits(mask):
-            if _contractible(nbr, nbr[i] & mask) and _contractible(nbr, mask ^ (1 << i), guard=False):
-                break
-        else:
+        i = _deletion(nbr, mask, False)
+        if i is None:
             raise AssertionError("no simple point leaves a contractible graph")
         order.append(verts[i])
         mask ^= 1 << i
@@ -244,14 +253,13 @@ def reduce_to_subgraph(
     fails the homology guard: deletions would carry g's homology to the
     target's, which is a point's.
     """
-    _check_cap(g.vertex_count, size_cap)
-    verts, nbr = g.bitsets()
+    verts, nbr, whole = _entry(g, size_cap)
     goal = mask_of(g, keep)
     if not _contractible(nbr, goal):
         raise DomainError("target subgraph is not contractible")
-    if _homology_matches(nbr, (1 << len(verts)) - 1, (1,)) is False:
+    if _homology_matches(nbr, whole, (1,)) is False:
         return None
-    order = _reduce(nbr, verts, goal, set(), (1 << len(verts)) - 1)
+    order = _reduce(nbr, verts, goal, set(), whole)
     if order is None:
         return None
     return ReductionCertificate(tuple(CertStep("dp", (v,)) for v in order))

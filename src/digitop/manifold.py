@@ -48,7 +48,7 @@ from dataclasses import dataclass
 from .canon import _search
 from .errors import DomainError
 from .graph import Graph, bits, check_known, connected, mask_of
-from .homotopy import _VERDICTS, SIZE_CAP, _check_cap, _contractible, _homology_matches
+from .homotopy import _VERDICTS, SIZE_CAP, _contractible, _entry, _homology_matches
 from .homotopy import clear_caches  # noqa: F401  re-exported: one reset for every verdict
 
 
@@ -96,9 +96,8 @@ def _dims(nbr: list[int], mask: int) -> tuple[int | None, int | None]:
 
 
 def sphere_dimension(g: Graph, *, size_cap: int = SIZE_CAP) -> int | None:
-    _check_cap(g.vertex_count, size_cap)
-    _, nbr = g.bitsets()
-    return _sphere_dim(nbr, (1 << len(nbr)) - 1)
+    _, nbr, whole = _entry(g, size_cap)
+    return _sphere_dim(nbr, whole)
 
 
 def is_sphere(g: Graph, *, size_cap: int = SIZE_CAP) -> tuple[bool, int | None]:
@@ -108,9 +107,7 @@ def is_sphere(g: Graph, *, size_cap: int = SIZE_CAP) -> tuple[bool, int | None]:
 
 def manifold_dimension(g: Graph, *, size_cap: int = SIZE_CAP) -> int | None:
     """Dimension n >= 1 when connected and every rim is an (n-1)-sphere."""
-    _check_cap(g.vertex_count, size_cap)
-    _, nbr = g.bitsets()
-    whole = (1 << len(nbr)) - 1
+    _, nbr, whole = _entry(g, size_cap)
     return _manifold_dim(nbr, whole, whole)
 
 
@@ -182,11 +179,10 @@ def _disk_dim(nbr: list[int], mask: int, boundary: int) -> int | None:
 
 
 def disk_dimension(g: Graph, boundary, *, size_cap: int = SIZE_CAP) -> int | None:
-    _check_cap(g.vertex_count, size_cap)
+    _, nbr, whole = _entry(g, size_cap)
     boundary = frozenset(boundary)
     check_known(boundary, g, "boundary vertex")
-    verts, nbr = g.bitsets()
-    return _disk_dim(nbr, (1 << len(verts)) - 1, mask_of(g, boundary))
+    return _disk_dim(nbr, whole, mask_of(g, boundary))
 
 
 def is_disk(g: Graph, boundary, *, size_cap: int = SIZE_CAP) -> tuple[bool, int | None]:
@@ -209,9 +205,7 @@ def sphere_by_complement(m: Graph, sub, *, size_cap: int = SIZE_CAP) -> bool:
     For a manifold that is a sphere this holds for every contractible
     subspace; for a manifold that is not, it holds for none.
     """
-    _check_cap(m.vertex_count, size_cap)
-    verts, nbr = m.bitsets()
-    whole = (1 << len(verts)) - 1
+    _, nbr, whole = _entry(m, size_cap)
     if _manifold_dim(nbr, whole, whole) is None:
         raise DomainError("sphere_by_complement requires a digital manifold")
     sub = mask_of(m, sub)
@@ -254,9 +248,7 @@ def classify(g: Graph, *, size_cap: int = SIZE_CAP, auto_compress: bool = True) 
 
         compressed_from = work.vertex_count
         work, _ = compress(work)
-    _check_cap(work.vertex_count, size_cap)
-    verts, nbr = work.bitsets()
-    whole = (1 << len(verts)) - 1
+    verts, nbr, whole = _entry(work, size_cap)
     d, m = _dims(nbr, whole)
     if d is not None:
         return Classification("sphere", d, compressed_from=compressed_from)

@@ -10,6 +10,7 @@ The oracles here deliberately share no caching or pruning with the
 library; they restate the definitions as plainly as possible.
 """
 
+import random
 import sys
 from functools import cache
 from itertools import combinations, permutations
@@ -113,6 +114,17 @@ def has_induced_c4_through(g: Graph, x: str, y: str) -> bool:
 def cycle(n: int, prefix: str = "v") -> Graph:
     labels = [f"{prefix}{i}" for i in range(n)]
     return Graph(labels, [(labels[i], labels[(i + 1) % n]) for i in range(n)])
+
+
+def complete(n: int) -> Graph:
+    labels = [f"v{i}" for i in range(n)]
+    return Graph(labels, [(a, b) for i, a in enumerate(labels) for b in labels[i + 1:]])
+
+
+def random_graph(rng: random.Random, n: int, p: float) -> Graph:
+    labels = [f"g{i}" for i in range(n)]
+    edges = [(a, b) for a, b in combinations(labels, 2) if rng.random() < p]
+    return Graph(labels, edges)
 
 
 def whole_rims_and_deletions(nbr: list[int]) -> tuple[int, ...]:

@@ -6,13 +6,14 @@ verdict per criterion.  Stated time budgets are asserted, not implied.
 
 import random
 import time
-from itertools import combinations
 
 from corpus import (
     all_graphs,
     brute_contractible,
     connected_graphs,
+    cycle,
     has_induced_c4_through,
+    random_graph,
 )
 from digitop.digitize import Circle, Segment, SphereSurface, digitize
 from digitop.gallery import gallery
@@ -55,11 +56,6 @@ SPHERE_DIMS = {"s0": 0, "s1-min": 1, "s1-5": 1, "s2-min": 2, "s3-min": 3}
 
 def announce(n: int, name: str, detail: str) -> None:
     print(f"criterion {n:2d} {name}: PASS ({detail})")
-
-
-def cycle(n: int) -> Graph:
-    labels = [f"v{i}" for i in range(n)]
-    return Graph(labels, [(labels[i], labels[(i + 1) % n]) for i in range(n)])
 
 
 def test_criterion_01_minimal_spheres():
@@ -218,12 +214,6 @@ def test_criterion_09_digitization():
         "digitization",
         f"circle/segment/sphere models in {sphere_done - t0:.1f}s",
     )
-
-
-def random_graph(rng: random.Random, n: int, p: float) -> Graph:
-    labels = [f"g{i}" for i in range(n)]
-    edges = [(a, b) for a, b in combinations(labels, 2) if rng.random() < p]
-    return Graph(labels, edges)
 
 
 def test_criterion_10_round_trips():

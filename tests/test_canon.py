@@ -7,7 +7,7 @@ from itertools import permutations
 
 import pytest
 
-from corpus import all_graphs, connected_graphs
+from corpus import all_graphs, connected_graphs, cycle
 from digitop import canon
 from digitop.canon import _search, canonical_form, canonical_labelling
 from digitop.errors import CapacityError
@@ -132,11 +132,6 @@ def test_mask_forms_equal_the_induced_graphs_forms():
             assert [verts[i] for i in order] == [sub_verts[j] for j in sub_order]
             checked += 1
     assert checked == 7958
-
-
-def cycle(n: int) -> Graph:
-    labels = [f"v{i}" for i in range(n)]
-    return Graph(labels, [(labels[i], labels[(i + 1) % n]) for i in range(n)])
 
 
 def cycles(*lengths: int) -> Graph:

@@ -1,15 +1,11 @@
 import gc
 
+from corpus import cycle
 from digitop.cli import main, run
 from digitop.gallery import gallery
 from digitop.graph import Graph, format_graph, parse_graph, read_graph, write_graph
 from digitop.homotopy import parse_certificate
 from digitop.transform import compress, parse_log
-
-
-def cycle(n: int) -> Graph:
-    labels = [f"v{i}" for i in range(n)]
-    return Graph(labels, [(labels[i], labels[(i + 1) % n]) for i in range(n)])
 
 
 def graph_file(tmp_path, g: Graph, name: str = "g.txt") -> str:
@@ -151,9 +147,20 @@ def test_usage_errors(tmp_path):
     assert run([]).exit_code == 2
     assert run(["frobnicate"]).exit_code == 2
     assert run(["classify", str(tmp_path / "missing.txt")]).exit_code == 2
+    # the graph file is read before any other argument is used
+    res = run(["transform", "split", str(tmp_path / "missing.txt"), "b", "--labels", "only-one"])
+    assert (res.exit_code, res.stdout) == (2, "") and "missing.txt" in res.stderr
     bad = tmp_path / "bad.txt"
     bad.write_text("v a\nq zz\n", encoding="utf-8")
     assert run(["classify", str(bad)]).exit_code == 2
+
+
+def test_file_that_is_not_utf8_is_a_domain_error(tmp_path):
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"v a\n\xff\n")
+    res = run(["classify", str(bad)])
+    assert (res.exit_code, res.stdout) == (2, "")
+    assert res.stderr == f"error: {bad}: not UTF-8 text\n"
 
 
 def test_capacity_exit_code(tmp_path):

@@ -20,6 +20,7 @@ labellings: 022611ad48415b4d
 reports: 08d98ccbae8b73ed
 verdicts: a9df8a23746d3602
 dims: 15a5e63cc379cb54
+cli: b62c6ca4d4fdfe3b
 """
 
 

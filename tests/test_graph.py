@@ -231,6 +231,13 @@ def test_file_round_trip(tmp_path):
     assert read_graph(path) == g
 
 
+def test_file_that_is_not_utf8_raises_domain_error_naming_it(tmp_path):
+    path = tmp_path / "g.txt"
+    path.write_bytes(b"v a\nv \xff\n")
+    with pytest.raises(DomainError, match="g.txt: not UTF-8 text"):
+        read_graph(path)
+
+
 UNKNOWN_LABELS = """
 import sys
 from digitop import (DomainError, disk_dimension, format_graph, minimal_sphere,

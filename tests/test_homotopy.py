@@ -1,18 +1,21 @@
 import random
 import time
+from pathlib import Path
 
 import pytest
 
 from corpus import (
     all_graphs,
     brute_contractible,
+    complete,
     connected_graphs,
+    cycle,
     plain_contractible,
     plain_deletion_order,
     plain_replay,
     plain_sphere_dim,
 )
-from digitop import homotopy
+from digitop import canon, homotopy
 from digitop.errors import CapacityError, DomainError
 from digitop.graph import Graph
 from digitop.homotopy import (
@@ -30,16 +33,6 @@ from digitop.homotopy import (
 )
 from digitop.invariants import betti_numbers
 from digitop.manifold import minimal_sphere, sphere_dimension, suspend
-
-
-def cycle(n: int) -> Graph:
-    labels = [f"v{i}" for i in range(n)]
-    return Graph(labels, [(labels[i], labels[(i + 1) % n]) for i in range(n)])
-
-
-def complete(n: int) -> Graph:
-    labels = [f"v{i}" for i in range(n)]
-    return Graph(labels, [(a, b) for i, a in enumerate(labels) for b in labels[i + 1:]])
 
 
 def test_base_cases():
@@ -337,3 +330,38 @@ def test_random_graphs_up_to_the_cap_finish():
                 if verdict:
                     assert betti_numbers(g) == [1]
     assert time.perf_counter() - start < 20.0
+
+
+def test_search_pass_makes_a_pinned_number_of_canonical_searches(monkeypatch):
+    """Canonical searches in one cold seed-0 pass of the benchmark's `search` workload.
+
+    Each yes-instance is searched, then given a certificate, whose walk
+    branches on the search's own rule; 160 of the 230 searches are the walk's.
+    """
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "bench"))
+    import digitop
+    from workloads import Search
+
+    counts = {False: 0, True: 0}  # inside a certificate -> canonical searches
+    inside = [False]
+    search, certificate = canon._search, digitop.contractibility_certificate
+
+    def counted_search(nbr, mask):
+        counts[inside[0]] += 1
+        return search(nbr, mask)
+
+    def counted_certificate(g):
+        inside[0] = True
+        try:
+            return certificate(g)
+        finally:
+            inside[0] = False
+
+    monkeypatch.setattr(canon, "_search", counted_search)
+    monkeypatch.setattr(digitop, "contractibility_certificate", counted_certificate)
+    try:
+        for item in Search(0).prepare_pass(0):
+            item.check(item.run())
+    finally:
+        homotopy.clear_caches()
+    assert (counts[False] + counts[True], counts[True]) == (230, 160)

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from corpus import connected_graphs, plain_betti, plain_cliques
+from corpus import complete, connected_graphs, cycle, plain_betti, plain_cliques
 from digitop import invariants
 from digitop.errors import CapacityError, DomainError
 from digitop.gallery import gallery, gallery_names
@@ -17,16 +17,6 @@ from digitop.invariants import (
 )
 from digitop.manifold import minimal_sphere, suspend
 from test_transform import digitized_cases
-
-
-def cycle(n: int) -> Graph:
-    labels = [f"v{i}" for i in range(n)]
-    return Graph(labels, [(labels[i], labels[(i + 1) % n]) for i in range(n)])
-
-
-def complete(n: int) -> Graph:
-    labels = [f"v{i}" for i in range(n)]
-    return Graph(labels, [(a, b) for i, a in enumerate(labels) for b in labels[i + 1:]])
 
 
 def test_clique_counts_known():

@@ -8,7 +8,14 @@ from pathlib import Path
 
 import pytest
 
-from corpus import connected_graphs, has_induced_c4_through, plain_log_replay, record_graphs
+from corpus import (
+    connected_graphs,
+    cycle,
+    has_induced_c4_through,
+    plain_log_replay,
+    random_graph,
+    record_graphs,
+)
 from digitop import transform
 from digitop.digitize import Circle, CubeSurface, SphereSurface, cube_graph, digitize, parse_shape
 from digitop.errors import DomainError
@@ -30,17 +37,6 @@ from digitop.transform import (
     split_point,
 )
 from digitop.manifold import Disk
-
-
-def cycle(n: int) -> Graph:
-    labels = [f"v{i}" for i in range(n)]
-    return Graph(labels, [(labels[i], labels[(i + 1) % n]) for i in range(n)])
-
-
-def random_graph(rng: random.Random, n: int, p: float) -> Graph:
-    labels = [f"g{i}" for i in range(n)]
-    edges = [(a, b) for a, b in combinations(labels, 2) if rng.random() < p]
-    return Graph(labels, edges)
 
 
 def test_simple_pair_definition():

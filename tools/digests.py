@@ -28,7 +28,12 @@ The script reruns itself under PYTHONHASHSEED=0 and prints one
   `minimal_sphere(0)` to `minimal_sphere(9)`;
 - `dims`: the sphere and the manifold dimension that `manifold._dims`
   gives each of `tests/corpus.py`'s `near_miss_graphs()`, each of its
-  rims and each of its one-point deletions.
+  rims and each of its one-point deletions;
+- `cli`: the exit code and stdout of each invocation in `CLI_RUNS`, run
+  through `cli.run` in an empty temporary directory on gallery graphs
+  written there, then every file they wrote with `-o` and `--log`.  Help
+  text, whose layout differs between Python versions, and stderr are left
+  out.
 
 It imports the package, the corpus and the workloads from the checkout
 it lives in, so a copy of this file placed in another checkout digests
@@ -39,10 +44,49 @@ import hashlib
 import os
 import subprocess
 import sys
+import tempfile
 from itertools import combinations
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+
+GALLERY = ("disk1", "disk2", "projective11", "s0", "s1-5", "s1-min", "s2-min", "s3-min", "torus16")
+
+# Every subcommand, with yes, no, domain-error and capacity outcomes; the
+# graph files are named relative to the working directory.
+CLI_RUNS = [
+    *(["gallery", name, "-o", f"{name}.txt"] for name in GALLERY),
+    ["gallery", "s1-5"],
+    ["gallery", "nope"],
+    *([command, f"{name}.txt"] for command in ("classify", "contractible", "euler", "betti", "report") for name in GALLERY),
+    ["classify", "missing.txt"],
+    ["contractible", "disk2.txt", "--certificate"],
+    ["contractible", "s1-5.txt", "--certificate"],
+    ["simple-point", "disk1.txt", "a"],
+    ["simple-point", "disk1.txt", "b"],
+    ["simple-point", "disk1.txt", "nope"],
+    ["simple-pair", "disk2.txt", "b0", "t"],
+    ["simple-pair", "s1-5.txt", "v0", "v1"],
+    ["simple-pair", "s1-5.txt", "v0", "v2"],
+    ["compress", "s1-5.txt", "-o", "s1-5.compressed", "--log", "s1-5.log"],
+    ["compress", "disk2.txt", "--log", "disk2.log"],
+    ["transform", "contract", "disk2.txt", "b0", "t", "-o", "contracted.txt"],
+    ["transform", "contract", "disk2.txt", "b0", "t"],
+    ["transform", "contract", "s1-5.txt", "v0", "v1"],
+    ["transform", "split", "disk1.txt", "b", "--x-only", "a", "--y-only", "c", "--labels", "p,q"],
+    ["transform", "split", "disk1.txt", "b", "--x-only", "a", "--shared", "c", "-o", "split.txt"],
+    ["transform", "split", "disk1.txt", "b", "--labels", "p"],
+    ["separate", "s2-min.txt", "--remove", "x1,y1,x2,y2"],
+    ["separate", "s2-min.txt", "--remove", "x0"],
+    ["separate", "s2-min.txt", "--remove", "ghost"],
+    ["digitize", "circle:0,0,3", "--edge-length", "1", "-o", "circle.txt"],
+    ["digitize", "segment:0,0,2,1", "--edge-length", "0.5"],
+    ["digitize", "implicit:x*x+y*y+z*z-4", "--edge-length", "1", "--depth", "1"],
+    ["digitize", "blob:1,2", "--edge-length", "1"],
+    ["classify", "circle.txt"],
+    ["contractible", "circle.txt"],
+    ["verify"],
+]
 
 
 def digest(data) -> str:
@@ -100,6 +144,15 @@ def main() -> None:
         _, nbr = g.bitsets()
         texts += [f"{_dims(nbr, mask)}\n" for mask in whole_rims_and_deletions(nbr)]
     print(f"dims: {digest(''.join(texts))}")
+    texts = []
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)
+        for argv in CLI_RUNS:
+            result = run(argv)
+            texts.append(f"{' '.join(argv)}\n{result.exit_code}\n{result.stdout}")
+        texts += [f"{path.name}\n{path.read_text()}" for path in sorted(Path(tmp).iterdir())]
+        os.chdir(ROOT)
+    print(f"cli: {digest(''.join(texts))}")
 
 
 if __name__ == "__main__":
