@@ -20,7 +20,9 @@ subcommand with `-o` writes it to that file and leaves stdout empty.
 from __future__ import annotations
 
 import argparse
+import io
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import dataclass
 from functools import cache
 
@@ -287,11 +289,13 @@ _parser = cache(build_parser)
 
 def run(argv) -> CommandResult:
     """Parse and execute one invocation; never raises for expected failures."""
+    out, err = io.StringIO(), io.StringIO()
     try:
-        args = _parser().parse_args(list(argv))
-    except SystemExit as exc:  # argparse already printed usage or help
+        with redirect_stdout(out), redirect_stderr(err):
+            args = _parser().parse_args(list(argv))
+    except SystemExit as exc:  # argparse printed usage or help into out and err
         code = exc.code if isinstance(exc.code, int) else 2
-        return CommandResult(code, "")
+        return CommandResult(code, out.getvalue(), err.getvalue())
     try:
         code, out = args.handler(args, read_graph(args.file) if "file" in args else None)
         out = _emit(out, getattr(args, "output", None))

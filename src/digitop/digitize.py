@@ -256,6 +256,11 @@ def _exact_cubes(shape, L: float) -> tuple[int, list[tuple[int, ...]]]:
     return len(ranges), [i for i in product(*ranges) if meets(a, b, [(c * L, (c + 1) * L) for c in i])]
 
 
+def _check_cubes(count: int, max_cubes: int) -> None:
+    if count > max_cubes:
+        raise CapacityError(f"model has {count:,} cubes, above the budget of {max_cubes:,}; raise max_cubes")
+
+
 def _implicit_cubes(shape: ImplicitSurface, L: float, depth: int, budget: int):
     import numpy as np  # the one numeric backend, loaded only to evaluate an expression
 
@@ -280,8 +285,7 @@ def _implicit_cubes(shape: ImplicitSurface, L: float, depth: int, budget: int):
         lo_block = win_lo[tuple(sel)].min(axis=-1)
         hi_block = win_hi[tuple(sel)].max(axis=-1)
     hits = np.argwhere((lo_block <= 0.0) & (hi_block >= 0.0))
-    if len(hits) > budget:
-        raise CapacityError(f"implicit model has {len(hits)} cubes, above budget {budget}")
+    _check_cubes(len(hits), budget)
     return [tuple(int(i) - hi_idx for i in hit) for hit in hits]
 
 
@@ -306,8 +310,7 @@ def digitize(
         dim, cubes = shape.dim, _implicit_cubes(shape, L, subdivision_depth, max_cubes)
     else:
         dim, cubes = _exact_cubes(shape, L)
-    if len(cubes) > max_cubes:
-        raise CapacityError(f"model has {len(cubes)} cubes, above budget {max_cubes}")
+    _check_cubes(len(cubes), max_cubes)
     cubes = frozenset(cubes)
     return CubicalModel(L, dim, cubes, cube_graph(cubes))
 

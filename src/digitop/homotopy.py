@@ -14,17 +14,19 @@ A graph with a vertex adjacent to every other vertex is a cone, and a
 cone is contractible: every other vertex is simple (its rim is again a
 cone), so deleting them one at a time leaves the apex.  The homology
 guard rejects a graph whose clique complex does not have the mod-2
-Betti numbers (1) of a point, first by its Euler characteristic and
-then by the GF(2) ranks of `invariants`.  Deleting a simple point
-preserves the homotopy type of the clique complex (Ivashchenko,
-*Contractible transformations do not change the homology groups of
-graphs*, Discrete Math. 126, 1994), so every contractible graph passes
-and every rejection is exact.  For the same reason a graph reached by
-deleting a simple point from one that passed shares its homology, and
-the search does not check it again.  The guard enumerates at most
-`GUARD_CLIQUES` cliques; a graph with more skips the guard and is
-searched exactly as without it, so the guard never raises and never
-decides what it has not checked.
+homology of a point, which `invariants._acyclic` decides from its Euler
+characteristic and then its GF(2) ranks.  This search and
+`reduce_to_subgraph` are the only places that ask it; the `manifold`
+docstring says why sphere recognition needs no guard of its own.
+Deleting a simple point preserves the homotopy type of the clique
+complex (Ivashchenko, *Contractible transformations do not change the
+homology groups of graphs*, Discrete Math. 126, 1994), so every
+contractible graph passes and every rejection is exact.  For the same
+reason a graph reached by deleting a simple point from one that passed
+shares its homology, and the search does not check it again.  The
+guard enumerates at most `GUARD_CLIQUES` cliques; a graph with more
+skips the guard and is searched exactly as without it, so the guard
+never raises and never decides what it has not checked.
 
 Each public entry converts its graph once; the searches recurse on
 vertex masks (see `graph`).  `_entry` is the one place where a query on
@@ -44,10 +46,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from . import invariants
 from .canon import canonical_form
 from .errors import CapacityError, DomainError
 from .graph import Graph, bits, connected, from_masks, mask_of
+from .invariants import _acyclic
 
 SIZE_CAP = 25
 
@@ -59,8 +61,9 @@ SIZE_CAP = 25
 GUARD_CLIQUES = 50_000
 
 # (question, canonical form) -> verdict, for every question the package
-# memoizes: "contractible" -> bool, "sphere" and "manifold" -> dimension or None.
-_VERDICTS: dict[tuple[str, bytes], bool | int | None] = {}
+# memoizes: "contractible" -> bool, "dims" -> the sphere and the manifold
+# dimension, each None if it is none.
+_VERDICTS: dict[tuple[str, bytes], bool | tuple[int | None, int | None]] = {}
 
 
 def clear_caches() -> None:
@@ -82,23 +85,6 @@ def _entry(g: Graph, size_cap: int) -> tuple[list[str], list[int], int]:
     return verts, nbr, (1 << len(verts)) - 1
 
 
-def _homology_matches(nbr: list[int], mask: int, betti: tuple[int, ...]) -> bool | None:
-    """Whether the clique complex on mask has these mod-2 Betti numbers (trailing zeros trimmed).
-
-    None when it has more than GUARD_CLIQUES cliques, so nothing is known.
-    The Euler characteristic is compared first; the ranks are computed
-    only when it agrees.
-    """
-    try:
-        levels = invariants._clique_lists(nbr, mask, GUARD_CLIQUES)
-    except CapacityError:
-        return None
-    counts = [len(level) for level in levels]
-    if invariants._alternating(counts) != invariants._alternating(betti):
-        return False
-    return invariants._betti(levels, invariants._width(len(nbr))) == list(betti)
-
-
 def is_contractible(g: Graph, *, size_cap: int = SIZE_CAP) -> bool:
     """True iff some sequence of simple point deletions reaches a single vertex."""
     _, nbr, whole = _entry(g, size_cap)
@@ -114,10 +100,10 @@ def _contractible(nbr: list[int], mask: int, *, guard: bool = True) -> bool:
     if not connected(nbr, mask):
         return False
     if guard:
-        matches = _homology_matches(nbr, mask, (1,))
-        if matches is False:
+        acyclic = _acyclic(nbr, mask, GUARD_CLIQUES)
+        if acyclic is False:
             return False
-        guard = matches is None
+        guard = acyclic is None
     key = ("contractible", canonical_form(nbr, mask))
     hit = _VERDICTS.get(key)
     if hit is not None:
@@ -257,7 +243,7 @@ def reduce_to_subgraph(
     goal = mask_of(g, keep)
     if not _contractible(nbr, goal):
         raise DomainError("target subgraph is not contractible")
-    if _homology_matches(nbr, whole, (1,)) is False:
+    if _acyclic(nbr, whole, GUARD_CLIQUES) is False:
         return None
     order = _reduce(nbr, verts, goal, set(), whole)
     if order is None:

@@ -8,7 +8,8 @@ codes of one size sort as the index tuples do.  The ranks use clearing,
 from Chen & Kerber, *Persistent homology computation with a twist*
 (EuroCG 2011), and apparent pivots, from Bauer, *Ripser* (J. Appl.
 Comput. Topol. 5, 2021); `_betti` says why the columns they skip are
-zero or need not be built.
+zero or need not be built.  `_acyclic` is the homology guard that
+`homotopy` asks before its searches; no other module needs one.
 """
 
 from __future__ import annotations
@@ -50,7 +51,7 @@ def _grow(
         cur = base << w | i
         total += 1
         if total > budget:
-            raise CapacityError(f"clique enumeration exceeded budget of {budget}")
+            raise CapacityError(f"clique enumeration passed its budget of {budget:,} cliques; raise budget")
         if size == len(by_size):
             by_size.append([])
         by_size[size].append(cur)
@@ -138,6 +139,16 @@ def _betti(levels: list[list[int]], w: int) -> list[int]:
     while len(betti) > 1 and betti[-1] == 0:
         betti.pop()
     return betti
+
+
+def _acyclic(nbr: list[int], mask: int, limit: int) -> bool | None:
+    """Whether the clique complex on mask has a point's mod-2 homology; None past `limit` cliques."""
+    try:
+        levels = _clique_lists(nbr, mask, limit)
+    except CapacityError:
+        return None
+    # the Euler characteristic first: the ranks only when it is a point's
+    return _alternating(map(len, levels)) == 1 and _betti(levels, _width(len(nbr))) == [1]
 
 
 def betti_numbers(g: Graph, *, budget: int = DEFAULT_CLIQUE_BUDGET) -> list[int]:

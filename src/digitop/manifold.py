@@ -7,15 +7,16 @@ deletion condition gives an n-manifold.  A disk is a contractible
 graph that decomposes into a spherical boundary, interior points with
 spherical rims, and boundary points whose rims are lower disks.
 
-Before its point-deletion loop, sphere recognition checks the homology
-guard of `homotopy`: once every rim is a (k-1)-sphere, a k-sphere's
-clique complex must have the mod-2 Betti numbers of the k-sphere,
-(1, 0, ..., 0, 1).  Cover the complex by those of g - v and ball(v),
-which meet in that of rim(v): the first is contractible by definition
-and the second is a cone, so Mayer-Vietoris shifts the rim's reduced
-homology, which by induction is the (k-1)-sphere's, up by one.  A graph
-with other Betti numbers is rejected without the loop; one with more
-than `homotopy.GUARD_CLIQUES` cliques runs the loop as before.
+Sphere recognition asks no homology question of its own; it checks the
+rims and tries the deletions, which is the definition.  That loses
+nothing against a guard on g: once every rim is a (k-1)-sphere, cover
+the complex by those of g - v and ball(v), which meet in that of rim(v).
+The second is a cone, so when the first is acyclic, Mayer-Vietoris
+shifts the rim's reduced homology, by induction the (k-1)-sphere's, up
+by one, and g has the k-sphere's Betti numbers.  So where g lacks them,
+`homotopy`'s guard rejects each deletion before any canonical search,
+and a deletion, with fewer cliques than g, overflows it only where g's
+would have.
 
 On a verdict-table miss, sphere recognition checks the rim and tries
 the deletion of one point per orbit that the canonical search reports.
@@ -33,12 +34,11 @@ and an edge are no spheres.  (3) A connected 2-regular graph on five or
 more points is a cycle: its rims are 0-spheres and deleting a point
 leaves a path.  None of these verdicts is stored in the table.
 
-Recognition recurses on vertex masks, as in `homotopy`.  Sphere
-verdicts are memoized in homotopy's verdict table, keyed by ("sphere",
-canonical form), with the manifold dimension found on the way under
-("manifold", form), which `classify` reads off the same search instead
-of walking the rims again; `homotopy.clear_caches()`, also importable
-here, resets all.
+Recognition recurses on vertex masks, as in `homotopy`.  The sphere and
+the manifold dimension are memoized together in homotopy's verdict
+table, keyed by ("dims", canonical form), so `classify` reads both off
+one search instead of walking the rims again; `homotopy.clear_caches()`,
+also importable here, resets all.
 """
 
 from __future__ import annotations
@@ -48,7 +48,7 @@ from dataclasses import dataclass
 from .canon import _search
 from .errors import DomainError
 from .graph import Graph, bits, check_known, connected, mask_of
-from .homotopy import _VERDICTS, SIZE_CAP, _contractible, _entry, _homology_matches
+from .homotopy import _VERDICTS, SIZE_CAP, _contractible, _entry
 from .homotopy import clear_caches  # noqa: F401  re-exported: one reset for every verdict
 
 
@@ -83,16 +83,13 @@ def _dims(nbr: list[int], mask: int) -> tuple[int | None, int | None]:
     if degrees == {2}:
         return 1, 1
     form, _, orbits = _search(nbr, mask)
-    if ("sphere", form) not in _VERDICTS:
+    key = ("dims", form)
+    if key not in _VERDICTS:
         reps = orbits()
-        k = _VERDICTS["manifold", form] = _manifold_dim(nbr, mask, reps)
-        if k is not None and (
-            _homology_matches(nbr, mask, (1,) + (0,) * (k - 1) + (1,)) is False
-            or not any(_contractible(nbr, mask ^ (1 << i)) for i in bits(reps))
-        ):
-            k = None
-        _VERDICTS["sphere", form] = k
-    return _VERDICTS["sphere", form], _VERDICTS["manifold", form]
+        m = _manifold_dim(nbr, mask, reps)
+        sphere = m is not None and any(_contractible(nbr, mask ^ (1 << i)) for i in bits(reps))
+        _VERDICTS[key] = (m if sphere else None), m
+    return _VERDICTS[key]
 
 
 def sphere_dimension(g: Graph, *, size_cap: int = SIZE_CAP) -> int | None:

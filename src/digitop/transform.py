@@ -185,18 +185,20 @@ class TransformStep:
     y_only: frozenset[str] | None = None
     shared: frozenset[str] | None = None
 
+    def __post_init__(self):
+        if self.kind not in ("contract", "split"):
+            raise DomainError(f"unknown transform step kind {self.kind!r}")
+        if self.kind == "split" and None in (self.x_only, self.y_only, self.shared):
+            raise DomainError("split step is missing its neighbor partition")
+
     def apply(self, g: Graph) -> Graph:
         return TransformLog((self,)).replay(g)
 
     def _apply(self, m: _Masks) -> None:
         if self.kind == "contract":
             m.contract(self.x, self.y, self.z)
-        elif self.kind == "split":
-            if self.x_only is None or self.y_only is None or self.shared is None:
-                raise DomainError("split step is missing its neighbor partition")
-            m.split(self.z, self.x_only, self.y_only, self.shared, (self.x, self.y))
         else:
-            raise DomainError(f"unknown transform step kind {self.kind!r}")
+            m.split(self.z, self.x_only, self.y_only, self.shared, (self.x, self.y))
 
     def inverse(self) -> "TransformStep":
         if self.x_only is None or self.y_only is None or self.shared is None:
@@ -250,7 +252,7 @@ class TransformLog:
         for s in reversed(self.steps):
             if s.kind == "contract" and None not in (s.x_only, s.y_only, s.shared):
                 m.split(s.z, s.x_only, s.y_only, s.shared, (s.x, s.y))
-            else:  # a step with no partition raises; any other kind undoes as a contraction
+            else:  # a split undoes as a contraction; a contraction with no partition raises
                 s.inverse()._apply(m)
         return m.graph()
 

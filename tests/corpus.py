@@ -16,6 +16,7 @@ from functools import cache
 from itertools import combinations, permutations
 
 from digitop.errors import DomainError
+from digitop.gallery import gallery
 from digitop.graph import Graph, check_label, fresh_labels, from_masks
 from digitop.homotopy import SIZE_CAP, _check_cap
 from digitop.manifold import minimal_sphere
@@ -158,6 +159,38 @@ def near_miss_graphs() -> tuple[Graph, ...]:
         graphs.append(Graph(labels, combinations(labels, 2)))
     graphs.append(cycle(5, "a").join(cycle(5, "b")))
     return tuple(graphs + [g.join(Graph(["apex"])) for g in graphs])
+
+
+def torus(a: int, b: int) -> Graph:
+    """The a x b periodic grid with one diagonal per square; for a, b >= 4 every rim is a 6-cycle."""
+    at = {(i, j): f"t{i}_{j}" for i in range(a) for j in range(b)}
+    steps = ((1, 0), (0, 1), (1, 1))
+    return Graph(at.values(), [(at[i, j], at[(i + di) % a, (j + dj) % b]) for i, j in at for di, dj in steps])
+
+
+def subdivide_edge(g: Graph, u: str, v: str, w: str) -> Graph:
+    """Put w in the middle of edge uv: w sees u, v and their common neighbours, and uv goes."""
+    cut = g.without_edge(u, v)
+    return Graph(g.vertices | {w}, [*cut.edges, *((w, x) for x in g.common_neighbors(u, v) | {u, v})])
+
+
+@cache
+def non_sphere_manifolds() -> tuple[Graph, ...]:
+    """Closed 2-manifolds that are no spheres, with many automorphisms and with few.
+
+    The 4x4 torus, the 11-point projective plane, the 5x5 and 6x4 tori,
+    then each of the first two after one, two, ... edge subdivisions up
+    to 20 points, each edge drawn from a fixed seed.  Subdividing an edge
+    of a flag 2-manifold keeps it one: the new point's rim is the 4-cycle
+    through the edge's ends and the two points that see both.
+    """
+    graphs = [gallery("torus16"), gallery("projective11"), torus(5, 5), torus(6, 4)]
+    for base in graphs[:2]:
+        rng, g = random.Random(2014), base
+        for k in range(20 - base.vertex_count):
+            g = subdivide_edge(g, *rng.choice(g.sorted_edges()), f"s{k}")
+            graphs.append(g)
+    return tuple(graphs)
 
 
 # -- unpruned search references ---------------------------------------------

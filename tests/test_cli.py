@@ -177,6 +177,17 @@ def test_main_writes_stdout(tmp_path, capsys):
     assert capsys.readouterr().out == "0\n"
 
 
+def test_argparse_output_lands_in_the_result(capsys):
+    res = run(["--help"])
+    assert res.exit_code == 0 and res.stdout.startswith("usage: digitop") and res.stderr == ""
+    res = run(["classify"])
+    assert (res.exit_code, res.stdout) == (2, "")
+    assert res.stderr.startswith("usage: digitop classify") and "required: file" in res.stderr
+    assert capsys.readouterr() == ("", "")
+    assert main(["--help"]) == 0
+    assert capsys.readouterr() == (run(["--help"]).stdout, "")
+
+
 def test_repeated_runs_leave_no_cyclic_garbage():
     run(["gallery", "s0"])  # the first run builds the parser
     gc.collect()

@@ -18,7 +18,7 @@ pipeline reports: ec9c7ae6096adc6e
 forms: 156cdfc7a82763d5
 labellings: 022611ad48415b4d
 reports: 08d98ccbae8b73ed
-verdicts: a9df8a23746d3602
+verdicts: c474ef17661a1e43
 dims: 15a5e63cc379cb54
 cli: b62c6ca4d4fdfe3b
 """

@@ -195,8 +195,14 @@ def test_implicit_powers_overflow_instead_of_growing_integers():
 
 
 def test_capacity_budget():
-    with pytest.raises(CapacityError):
-        digitize(Circle((0.0, 0.0), 3.0), 1.0, max_cubes=5)
+    """Both routes refuse with one message, which names the keyword to raise."""
+    messages = []
+    for shape in (Circle((0.0, 0.0), 3.0), ImplicitSurface("x*x + y*y - 3**2", 2)):
+        with pytest.raises(CapacityError) as err:
+            digitize(shape, 1.0, max_cubes=5)
+        messages.append(str(err.value))
+    assert messages[0] == messages[1]
+    assert messages[0].startswith("model has ") and "raise max_cubes" in messages[0]
 
 
 def test_lattice_bound_refuses_before_enumerating():

@@ -22,7 +22,6 @@ from digitop.homotopy import (
     SIZE_CAP,
     CertStep,
     ReductionCertificate,
-    _homology_matches,
     contractibility_certificate,
     format_certificate,
     is_contractible,
@@ -31,7 +30,7 @@ from digitop.homotopy import (
     parse_certificate,
     reduce_to_subgraph,
 )
-from digitop.invariants import betti_numbers
+from digitop.invariants import _acyclic, betti_numbers
 from digitop.manifold import minimal_sphere, sphere_dimension, suspend
 
 
@@ -277,23 +276,22 @@ def test_replay_agrees_with_plain_replay_on_random_certificates():
     assert set(outcomes) == {"replayed", "loop", *REPLAY_FAILURES}, outcomes
 
 
-def homology_matches(g: Graph, betti: tuple[int, ...]) -> bool | None:
+def acyclic(g: Graph, limit: int = homotopy.GUARD_CLIQUES) -> bool | None:
     _, nbr = g.bitsets()
-    return _homology_matches(nbr, (1 << len(nbr)) - 1, betti)
+    return _acyclic(nbr, (1 << len(nbr)) - 1, limit)
 
 
 def test_guard_agrees_with_betti_numbers():
-    for g in connected_graphs(6):
-        betti = tuple(betti_numbers(g))
-        assert homology_matches(g, betti) is True
-        assert homology_matches(g, (1,)) is (betti == (1,))
+    """Disconnected graphs included: a point beside a 4-cycle has a point's Euler characteristic."""
+    for g in all_graphs(6):
+        assert acyclic(g) is (betti_numbers(g) == [1]), g.sorted_edges()
 
 
 def test_search_without_the_guard_when_the_clique_bound_overflows(monkeypatch):
     monkeypatch.setattr(homotopy, "GUARD_CLIQUES", 1)
     homotopy.clear_caches()
     try:
-        assert homology_matches(complete(2), (1,)) is None
+        assert acyclic(complete(2), 1) is None
         for g in connected_graphs(6):
             assert_agrees_with_plain(g)
     finally:

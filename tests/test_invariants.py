@@ -89,7 +89,7 @@ def test_parse_report_rejects_garbage():
 
 
 def test_clique_budget():
-    with pytest.raises(CapacityError):
+    with pytest.raises(CapacityError, match="budget of 1,000 cliques; raise budget"):
         clique_counts(complete(16), budget=1000)
 
 

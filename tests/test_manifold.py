@@ -1,15 +1,19 @@
+from pathlib import Path
+
 import pytest
 
 from corpus import (
     connected_graphs,
     cycle,
     near_miss_graphs,
+    non_sphere_manifolds,
+    plain_betti,
     plain_manifold_dim,
     plain_sphere_dim,
     record_graphs,
     whole_rims_and_deletions,
 )
-from digitop import canon, homotopy, manifold
+from digitop import canon, homotopy, invariants, manifold
 from digitop.errors import CapacityError, DomainError
 from digitop.gallery import gallery, gallery_names
 from digitop.graph import Graph, from_masks
@@ -294,3 +298,65 @@ def test_sphere_dimension_agrees_with_plain_recognition():
     for g in graphs:
         assert sphere_dimension(g) == plain_sphere_dim(g), g.sorted_edges()
     assert [sphere_dimension(g) for g in graphs] == [*range(7), 3, 3, 3, 3, 3, None]
+
+
+def test_dims_agree_with_plain_recognition_on_non_sphere_manifolds():
+    """Each graph, each rim and each deletion, with and without symmetry.
+
+    On a whole graph the plain sphere oracle would search every deletion
+    exhaustively, which takes minutes at 24 points.  Its verdict is None
+    all the same, since no deletion has a point's plain Betti numbers, so
+    none is contractible; the oracle checks the rims and the deletions.
+    """
+    homotopy.clear_caches()
+    for g in non_sphere_manifolds():
+        verts, nbr = g.bitsets()
+        whole, *parts = whole_rims_and_deletions(nbr)
+        assert all(plain_betti(g.remove((v,))) != [1] for v in verts), g.sorted_edges()
+        assert manifold._dims(nbr, whole) == (None, plain_manifold_dim(g)) == (None, 2)
+        for mask in parts:
+            h = from_masks(verts, nbr, mask)
+            expected = (plain_sphere_dim(h), plain_manifold_dim(h))
+            assert manifold._dims(nbr, mask) == expected, (g.sorted_edges(), h.sorted_vertices())
+
+
+def record_cliques(monkeypatch) -> list[int]:
+    """A list that gets the mask of every clique enumeration from now on."""
+    masks: list[int] = []
+    real = invariants._clique_lists
+    monkeypatch.setattr(invariants, "_clique_lists", lambda nbr, mask, budget: masks.append(mask) or real(nbr, mask, budget))
+    return masks
+
+
+def test_recognize_pass_makes_a_pinned_number_of_searches_and_clique_enumerations(monkeypatch):
+    """Canonical searches and clique enumerations in one cold seed-0 pass of the
+    benchmark's `recognize` workload.
+
+    While sphere recognition ran a homology guard on the whole graph, the same
+    80 searches came with 92 enumerations.
+    """
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "bench"))
+    from workloads import Recognize
+
+    searches, cliques = record_searches(monkeypatch), record_cliques(monkeypatch)
+    try:
+        for item in Recognize(0).prepare_pass(0):
+            item.check(item.run())
+    finally:
+        homotopy.clear_caches()
+    assert (len(searches), len(cliques)) == (80, 80)
+
+
+def test_sphere_recognition_enumerates_no_clique_on_the_whole_graph(monkeypatch):
+    """S⁹ C5 has 216,512 cliques, which a guard on the whole graph would enumerate up to its bound."""
+    g = cycle(5)
+    for _ in range(9):
+        g = suspend(g)
+    whole = (1 << g.vertex_count) - 1
+    homotopy.clear_caches()
+    cliques = record_cliques(monkeypatch)
+    try:
+        assert sphere_dimension(g) == 10
+    finally:
+        homotopy.clear_caches()
+    assert whole not in cliques

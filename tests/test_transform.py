@@ -464,6 +464,13 @@ def test_inverting_a_parsed_contraction_log_says_what_works():
     assert log.invert(comp8) == cycle(8)
 
 
+def test_a_step_that_no_move_can_apply_is_refused_when_built():
+    with pytest.raises(DomainError, match="unknown transform step kind 'bogus'"):
+        TransformStep("bogus", "a", "b", "z", frozenset(), frozenset({"c"}), frozenset())
+    with pytest.raises(DomainError, match="split step is missing its neighbor partition"):
+        TransformStep("split", "a", "b", "z", frozenset(), None, frozenset())
+
+
 def test_parse_log_rejects_malformed():
     with pytest.raises(DomainError):
         parse_log("F a b\n")  # missing arrow

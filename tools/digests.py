@@ -24,8 +24,10 @@ The script reruns itself under PYTHONHASHSEED=0 and prints one
   complexes as well;
 - `verdicts`: `classify(g).describe()` and `sphere_dimension(g)` of every
   `all_graphs(6)` graph, of each gallery graph and its suspension, of
-  the double suspensions of the cycles C4-C11, of the 4x4 torus and of
-  `minimal_sphere(0)` to `minimal_sphere(9)`;
+  the double suspensions of the cycles C4-C11, of the 4x4 torus, of
+  `minimal_sphere(0)` to `minimal_sphere(9)`, and of each of
+  `tests/corpus.py`'s `non_sphere_manifolds()` and, when it stays within
+  the size cap, its suspension;
 - `dims`: the sphere and the manifold dimension that `manifold._dims`
   gives each of `tests/corpus.py`'s `near_miss_graphs()`, each of its
   rims and each of its one-point deletions;
@@ -99,9 +101,10 @@ def main() -> None:
     for sub in ("src", "tests", "bench"):
         sys.path.insert(0, str(ROOT / sub))
     import digitop
-    from corpus import all_graphs, near_miss_graphs, whole_rims_and_deletions
+    from corpus import all_graphs, near_miss_graphs, non_sphere_manifolds, whole_rims_and_deletions
     from digitop.canon import canonical_labelling
     from digitop.cli import run
+    from digitop.homotopy import SIZE_CAP
     from digitop.manifold import _dims, minimal_sphere, suspend
     from workloads import Pipeline, build, cycle, torus
 
@@ -137,6 +140,8 @@ def main() -> None:
     graphs = [*all_graphs(6), *named, *map(suspend, named), build(torus(4, 4))]
     graphs += [suspend(suspend(build(cycle(n)))) for n in range(4, 12)]
     graphs += [minimal_sphere(n) for n in range(10)]
+    for g in non_sphere_manifolds():
+        graphs += [g, suspend(g)] if g.vertex_count + 2 <= SIZE_CAP else [g]
     texts = [f"{digitop.classify(g).describe()} {digitop.sphere_dimension(g)}\n" for g in graphs]
     print(f"verdicts: {digest(''.join(texts))}")
     texts = []
