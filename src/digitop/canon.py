@@ -18,6 +18,12 @@ step depends on cells and counts only, never on labels, so equal bytes
 mean isomorphic graphs and vice versa.  The least leaf also gives a
 canonical labelling: the vertices in the order the form encodes them.
 
+A cell is an int mask kept at its start, which each vertex of a
+non-singleton cell records.  W's counts are bit-sliced, one mask per
+binary digit summed from its neighbour masks, so vertices outside N(W)
+count 0 unvisited.  Each cell meeting N(W) is found by one lookup and
+split on the digits, most significant first: fragments in count order.
+
 A leaf with the best code so far yields an automorphism: its order
 mapped position by position onto the best leaf's.  An automorphism
 that fixes a node's individualized vertices maps the subtrees of two
@@ -56,9 +62,10 @@ from .graph import bits
 
 MAX_LEAVES = 500_000
 
-# A node is (lab, cend, cell, cells, path, pmask): the vertices cell by cell, the end of the cell at
-# each cell start, each vertex's cell start, the number of cells, and the path to it and its mask.
-Node = tuple[list[int], list[int], list[int], int, list[int], int]
+# A node is (cells, home, loose, path, pmask): the mask of each cell at its start position, the start
+# of the cell of each vertex in a non-singleton cell, the mask of those loose vertices, and the path to
+# the node and its mask.  The other entries of cells and home are stale.
+Node = tuple[list[int], list[int], int, list[int], int]
 Gens = list[tuple[int, list[tuple[int, int]]]]  # automorphisms: mask and pairs of moved points
 
 
@@ -81,8 +88,8 @@ def _search(nbr: list[int], mask: int) -> tuple[bytes, list[int], partial[int]]:
     index = {v: i for i, v in enumerate(verts)}
     adj = [[index[u] for u in bits(nbr[v] & mask)] for v in verts]  # re-indexed to 0..n-1
     nbr = [sum(1 << j for j in a) for a in adj]
-    lab, cend, cell = list(range(n)), [n] * n, [0] * n
-    root: Node = (lab, cend, cell, _refine(adj, nbr, lab, cend, cell, 0, 1), [], 0)
+    cells, home = [(1 << n) - 1] + [0] * (n - 1), [0] * n
+    root: Node = (cells, home, _refine(nbr, cells, home, cells[0] if n > 1 else 0, 0), [], 0)
     gens: Gens = []
     best: tuple[list[int], list[int], list[int]] | None = None  # rows, order, path
     stack: list[Iterator[Node]] = [iter([root])]  # stack[d]: the nodes left to visit at depth d
@@ -90,10 +97,10 @@ def _search(nbr: list[int], mask: int) -> tuple[bytes, list[int], partial[int]]:
     while stack:
         if (node := next(stack[-1], None)) is None:
             stack.pop()
-        elif node[3] < n:
-            stack.append(_children(adj, nbr, node, gens))
+        elif node[2]:
+            stack.append(_children(nbr, node, gens))
         else:
-            lab, path = node[0], node[4]
+            lab, path = [c.bit_length() - 1 for c in node[0]], node[3]
             leaves += 1
             if leaves > MAX_LEAVES:
                 raise CapacityError(
@@ -125,58 +132,76 @@ def _orbit_reps(verts: list[int], gens: Gens) -> int:
     return sum(1 << verts[i] for i, p in enumerate(parent) if p == i)
 
 
-def _refine(adj: list[list[int]], nbr: list[int], lab: list[int], cend: list[int], cell: list[int],
-            start: int, cells: int) -> int:
-    """Refine the partition in place from the splitter at `start`; return its new count of cells."""
-    queue, queued = deque([start]), {start}
-    while queue and cells < len(lab):
+def _refine(nbr: list[int], cells: list[int], home: list[int], loose: int, start: int) -> int:
+    """Refine the partition in place from the splitter at `start`; return its new mask of loose vertices."""
+    queue, queued = deque([start]), 1 << start
+    while queue and loose:
         s = queue.popleft()
-        queued.discard(s)
-        splitter = lab[s:cend[s]]
-        wmask = 0
-        for w in splitter:
-            wmask |= 1 << w
-        for t in sorted({cell[u] for w in splitter for u in adj[w]}):
-            e = cend[t]
-            if e - t == 1:
-                continue
-            frags: dict[int, list[int]] = {}
-            for x in lab[t:e]:
-                frags.setdefault((nbr[x] & wmask).bit_count(), []).append(x)
+        queued ^= 1 << s
+        w = cells[s]
+        digits: list[int] = []  # digit i: the vertices with bit i set in their count of neighbours in W
+        near = 0  # N(W)
+        for x in bits(w) if w & (w - 1) else [w.bit_length() - 1]:
+            carry = nbr[x]
+            near |= carry
+            for i, d in enumerate(digits):
+                digits[i], carry = d ^ carry, d & carry
+                if not carry:
+                    break
+            if carry:
+                digits.append(carry)
+        for t in _meeting(cells, home, near & loose):
+            frags = [cells[t]]
+            for d in reversed(digits):  # most significant first, so fragments end in ascending count
+                split = []
+                for f in frags:
+                    split += filter(None, (f & ~d, f & d))
+                frags = split
             if len(frags) == 1:
                 continue
-            starts = []
-            largest = pos = t
-            for k in sorted(frags):
-                f = frags[k]
-                end = pos + len(f)
-                lab[pos:end] = f
-                cend[pos] = end
-                for x in f:
-                    cell[x] = pos
-                if len(f) > cend[largest] - largest:
-                    largest = pos
+            starts, largest, most, pos = [], t, 0, t
+            for f in frags:
+                size = f.bit_count()
+                cells[pos] = f
+                if size == 1:
+                    loose ^= f
+                elif pos != t:
+                    for x in bits(f):
+                        home[x] = pos
+                if size > most:
+                    largest, most = pos, size
                 starts.append(pos)
-                pos = end
-            cells += len(starts) - 1
-            keep = t if t in queued else largest
+                pos += size
+            keep = t if queued >> t & 1 else largest
             for p in starts:
                 if p != keep:
                     queue.append(p)
-                    queued.add(p)
-    return cells
+                    queued |= 1 << p
+    return loose
 
 
-def _children(adj: list[list[int]], nbr: list[int], node: Node, gens: Gens) -> Iterator[Node]:
+def _meeting(cells: list[int], home: list[int], mask: int) -> list[int]:
+    """Starts of the cells that meet mask, ascending; mask holds loose vertices only."""
+    starts = []
+    while mask:
+        t = home[(mask & -mask).bit_length() - 1]
+        mask &= ~cells[t]
+        starts.append(t)
+    starts.sort()
+    return starts
+
+
+def _children(nbr: list[int], node: Node, gens: Gens) -> Iterator[Node]:
     """Yield a child per v in the node's target cell, skipping v in an earlier child's orbit under the
     automorphisms in `gens` that fix the node's path; `gens` may grow between children."""
-    lab, cend, cell, cells, path, pmask = node
-    t, e = _target(cend)
-    members = lab[t:e]
+    cells, home, loose, path, pmask = node
+    t = min(_meeting(cells, home, loose), key=lambda s: cells[s].bit_count())  # first smallest non-singleton
+    cell = cells[t]
+    members = bits(cell)
     orbit = {v: v for v in members}  # union-find over the target cell
     used = 0
     explored: list[int] = []
-    for v in sorted(members):
+    for v in members:
         for moved_mask, moved in gens[used:]:
             if not moved_mask & pmask:  # fixes the path, so maps the target cell onto itself
                 for x, y in moved:
@@ -187,25 +212,12 @@ def _children(adj: list[list[int]], nbr: list[int], node: Node, gens: Gens) -> I
         if any(_find(orbit, x) == root for x in explored):
             continue
         explored.append(v)
-        child_lab, child_cend, child_cell = lab[:], cend[:], cell[:]
-        child_lab[t:e] = [v] + [x for x in members if x != v]
-        child_cend[t], child_cend[t + 1] = t + 1, e
+        child, child_home = cells[:], home[:]
+        child[t], child[t + 1] = 1 << v, cell ^ 1 << v
         for x in members:
-            child_cell[x] = t + 1
-        child_cell[v] = t
-        child_cells = _refine(adj, nbr, child_lab, child_cend, child_cell, t, cells + 1)
-        yield child_lab, child_cend, child_cell, child_cells, path + [v], pmask | 1 << v
-
-
-def _target(cend: list[int]) -> tuple[int, int]:
-    """Start and end of the first smallest non-singleton cell of a partition that is not discrete."""
-    n = len(cend)
-    found, size, s = 0, n + 1, 0
-    while s < n:
-        if 1 < cend[s] - s < size:
-            found, size = s, cend[s] - s
-        s = cend[s]
-    return found, cend[found]
+            child_home[x] = t + 1
+        child_loose = loose ^ (cell if len(members) == 2 else 1 << v)
+        yield child, child_home, _refine(nbr, child, child_home, child_loose, t), path + [v], pmask | 1 << v
 
 
 def _rows(adj: list[list[int]], lab: list[int]) -> Iterator[int]:

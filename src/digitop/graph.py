@@ -6,15 +6,17 @@ forms.  Every operator returns a new graph, and subgraphs are always
 induced: there is no way to keep a vertex while dropping one of its
 edges short of building a fresh graph explicitly.
 
-A `Graph` stores only its labels, ascending, each mapped to its position,
-and per position the `int` mask of its neighbours' positions.  The public
-constructor checks labels and edges; `from_masks` is the one internal
-builder.  The exponential layers build no graphs: an induced subgraph is an
-`int` mask over one graph's `bitsets()`, whose indices follow sorted label
-order.  A rim is `nbr[i] & mask`, deleting a point clears its bit,
-deleting an edge clears one bit in each end's entry of `nbr`, and
-`components` is the one connectivity routine, for masks and graphs.
-`transform` edits such masks in place, so a slot there keeps no label order.
+A `Graph` stores only its labels, as an ascending tuple and each mapped
+to its position, and per position the `int` mask of its neighbours'
+positions, so a per-vertex loop indexes the tuple instead of copying the
+labels.  The public constructor checks labels and edges; `from_masks` is
+the one internal builder.  The exponential layers build no graphs: an
+induced subgraph is an `int` mask over one graph's `bitsets()`, whose
+indices follow sorted label order.  A rim is `nbr[i] & mask`, deleting a
+point clears its bit, deleting an edge clears one bit in each end's entry
+of `nbr`, and `components` is the one connectivity routine, for masks and
+graphs.  `transform` edits such masks in place, so a slot there keeps no
+label order.
 """
 
 from __future__ import annotations
@@ -36,10 +38,11 @@ def check_label(label: object) -> str:
 class Graph:
     """A finite simple undirected graph used as an immutable value object."""
 
-    __slots__ = ("_at", "_nbr", "_hash")
+    __slots__ = ("_labels", "_at", "_nbr", "_hash")
 
     def __init__(self, vertices: Iterable[str] = (), edges: Iterable[tuple[str, str]] = ()):
-        at = {v: i for i, v in enumerate(sorted({check_label(v) for v in vertices}))}
+        labels = tuple(sorted({check_label(v) for v in vertices}))
+        at = {v: i for i, v in enumerate(labels)}
         nbr = [0] * len(at)
         for u, v in edges:
             if u == v:
@@ -51,7 +54,8 @@ class Graph:
                 raise DomainError(f"edge endpoint {v!r} is not a declared vertex")
             nbr[i] |= 1 << j
             nbr[j] |= 1 << i
-        self._at: dict[str, int] = at  # label -> position, in ascending label order
+        self._labels: tuple[str, ...] = labels  # position -> label, ascending
+        self._at: dict[str, int] = at  # label -> position
         self._nbr: tuple[int, ...] = tuple(nbr)  # position -> mask of its neighbours' positions
         self._hash: int | None = None
 
@@ -85,28 +89,27 @@ class Graph:
             i = self._at[v]
         except KeyError:
             raise DomainError(f"unknown vertex {v!r}") from None
-        labels = list(self._at)
-        return frozenset(labels[j] for j in bits(self._nbr[i]))
+        return frozenset(self._labels[j] for j in bits(self._nbr[i]))
 
     def degree(self, v: str) -> int:
         return len(self.neighbors(v))
 
     def sorted_vertices(self) -> list[str]:
-        return list(self._at)
+        return list(self._labels)
 
     def sorted_edges(self) -> list[tuple[str, str]]:
-        labels = list(self._at)
+        labels = self._labels
         return [(u, labels[j]) for i, u in enumerate(labels) for j in bits(self._nbr[i]) if j > i]
 
     def bitsets(self) -> tuple[list[str], list[int]]:
         """Sorted labels and, for each, the mask of its neighbours' positions in that list."""
-        return list(self._at), list(self._nbr)
+        return list(self._labels), list(self._nbr)
 
     # -- structural operators ------------------------------------------
 
     def induced(self, keep: Iterable[str]) -> "Graph":
         """Induced subgraph on the given vertices."""
-        return from_masks(list(self._at), self._nbr, mask_of(self, keep))
+        return from_masks(self._labels, self._nbr, mask_of(self, keep))
 
     def rim(self, v: str) -> "Graph":
         """Induced subgraph on the neighbors of v (v itself excluded)."""
@@ -119,7 +122,7 @@ class Graph:
     def remove(self, drop: Iterable[str]) -> "Graph":
         """Induced subgraph on the complement of the given vertex set."""
         whole = (1 << len(self._nbr)) - 1
-        return from_masks(list(self._at), self._nbr, whole ^ mask_of(self, drop))
+        return from_masks(self._labels, self._nbr, whole ^ mask_of(self, drop))
 
     def without_edge(self, u: str, v: str) -> "Graph":
         """Same vertices with one edge removed.  Not a subgraph operator."""
@@ -166,11 +169,11 @@ class Graph:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Graph):
             return NotImplemented
-        return self._nbr == other._nbr and self._at.keys() == other._at.keys()
+        return self._nbr == other._nbr and self._labels == other._labels
 
     def __hash__(self) -> int:
         if self._hash is None:
-            self._hash = hash((tuple(self._at), self._nbr))
+            self._hash = hash((self._labels, self._nbr))
         return self._hash
 
     def __repr__(self) -> str:
@@ -183,7 +186,8 @@ def from_masks(labels: Sequence[str], nbr: Sequence[int], mask: int) -> Graph:
     keep = sorted(bits(mask), key=labels.__getitem__)
     bit = {i: 1 << k for k, i in enumerate(keep)}  # slot -> its bit in the new graph
     g = object.__new__(Graph)
-    g._at = {labels[i]: k for k, i in enumerate(keep)}
+    g._labels = tuple([labels[i] for i in keep])
+    g._at = {v: k for k, v in enumerate(g._labels)}
     g._nbr = tuple(sum(bit[j] for j in bits(nbr[i] & mask)) for i in keep)
     g._hash = None
     return g

@@ -185,7 +185,7 @@ class ReductionCertificate:
             else:
                 i, j = map(index.get, step.labels)
                 nbr[i], nbr[j] = nbr[i] ^ 1 << j, nbr[j] ^ 1 << i
-        return from_masks(list(index), nbr, mask)
+        return from_masks(g._labels, nbr, mask)
 
 
 def format_certificate(cert: ReductionCertificate) -> str:

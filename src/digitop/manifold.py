@@ -22,7 +22,11 @@ On a verdict-table miss, sphere recognition checks the rim and tries
 the deletion of one point per orbit that the canonical search reports.
 That is exact: an automorphism s maps rim(v) onto rim(s(v)) and g - v
 onto g - s(v), so both verdicts are constant on the orbits of any group
-of automorphisms.  The public manifold and disk checks visit every point.
+of automorphisms.  It deletes first the poles, the points that some
+other point alone misses: what is left is a cone on that other point,
+which `homotopy` calls contractible at once.  The verdict is `any` over
+the same points, so the order changes only the work.  The public
+manifold and disk checks visit every point.
 
 Before any search, three families are named from the degrees inside the
 mask.  (1) When each of n >= 2 points misses just one other, the graph
@@ -87,7 +91,12 @@ def _dims(nbr: list[int], mask: int) -> tuple[int | None, int | None]:
     if key not in _VERDICTS:
         reps = orbits()
         m = _manifold_dim(nbr, mask, reps)
-        sphere = m is not None and any(_contractible(nbr, mask ^ (1 << i)) for i in bits(reps))
+        poles = 0
+        for j in bits(mask) if m is not None else ():
+            miss = mask & ~nbr[j] ^ 1 << j
+            poles |= miss if miss & (miss - 1) == 0 else 0
+        order = bits(reps & poles) + bits(reps & ~poles)
+        sphere = m is not None and any(_contractible(nbr, mask ^ 1 << i) for i in order)
         _VERDICTS[key] = (m if sphere else None), m
     return _VERDICTS[key]
 

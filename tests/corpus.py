@@ -197,7 +197,8 @@ def non_sphere_manifolds() -> tuple[Graph, ...]:
 #
 # The library's searches with every shortcut taken out (no cone test, no
 # homology guard): depth-first over points in ascending label order,
-# memoized by canonical form in a table of their own.
+# memoized by canonical form in a table of their own.  Only the sphere
+# oracle asks a homology question, `plain_betti`, of each deletion.
 
 _PLAIN: dict[tuple[str, bytes], bool | int | None] = {}
 
@@ -232,7 +233,11 @@ def plain_deletion_order(g: Graph) -> list[str] | None:
 
 
 def plain_sphere_dim(g: Graph) -> int | None:
-    """n when every rim is an (n-1)-sphere and deleting some point leaves g contractible."""
+    """n when every rim is an (n-1)-sphere and deleting some point leaves g contractible.
+
+    A deletion without a point's `plain_betti` is rejected before the
+    search, which is exact: a contractible graph has a point's homology.
+    """
     if g.vertex_count == 2 and g.edge_count == 0:
         return 0
     if g.vertex_count < 2 or not g.is_connected():
@@ -243,7 +248,8 @@ def plain_sphere_dim(g: Graph) -> int | None:
         k = None
         if len(rim_dims) == 1 and None not in rim_dims:
             k = rim_dims.pop() + 1
-            if not any(plain_contractible(g.remove((v,))) for v in g.sorted_vertices()):
+            deletions = (g.remove((v,)) for v in g.sorted_vertices())
+            if not any(plain_betti(h) == [1] and plain_contractible(h) for h in deletions):
                 k = None
         _PLAIN[key] = k
     return _PLAIN[key]

@@ -17,6 +17,7 @@ pipeline logs: 5c2d1948b5b90483
 pipeline reports: ec9c7ae6096adc6e
 forms: 156cdfc7a82763d5
 labellings: 022611ad48415b4d
+large forms: 427261e95943606a
 reports: 08d98ccbae8b73ed
 verdicts: c474ef17661a1e43
 dims: 15a5e63cc379cb54

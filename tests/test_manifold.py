@@ -7,7 +7,6 @@ from corpus import (
     cycle,
     near_miss_graphs,
     non_sphere_manifolds,
-    plain_betti,
     plain_manifold_dim,
     plain_sphere_dim,
     record_graphs,
@@ -17,7 +16,7 @@ from digitop import canon, homotopy, invariants, manifold
 from digitop.errors import CapacityError, DomainError
 from digitop.gallery import gallery, gallery_names
 from digitop.graph import Graph, from_masks
-from digitop.homotopy import is_contractible
+from digitop.homotopy import SIZE_CAP, is_contractible
 from digitop.manifold import (
     Disk,
     classify,
@@ -258,7 +257,9 @@ def test_sphere_recognition_searches_one_point_per_orbit(monkeypatch):
     """Exact counts of canonical searches with cold caches.
 
     Before minimal spheres and cycles were named from their degrees,
-    these took 13 and 27.
+    these took 13 and 27.  Before the poles were deleted first, SS C11
+    took 16 and S⁹ C5 18: each deleted a cycle point, whose deletion is
+    no cone, and searched it.
     """
     masks = record_searches(monkeypatch)
     homotopy.clear_caches()
@@ -267,7 +268,14 @@ def test_sphere_recognition_searches_one_point_per_orbit(monkeypatch):
     masks.clear()
     homotopy.clear_caches()
     assert classify(suspend(suspend(cycle(11)))).describe() == "sphere dim=3"
-    assert len(masks) == 16
+    assert len(masks) == 2
+    masks.clear()
+    homotopy.clear_caches()
+    g = cycle(5)
+    for _ in range(9):
+        g = suspend(g)
+    assert sphere_dimension(g) == 10
+    assert len(masks) == 9
 
 
 def test_minimal_spheres_cycles_and_their_cones_need_no_search(monkeypatch):
@@ -280,15 +288,20 @@ def test_minimal_spheres_cycles_and_their_cones_need_no_search(monkeypatch):
     assert masks == []
 
 
-def test_dims_agree_with_plain_recognition_on_graphs_their_rims_and_deletions():
-    """Both dimensions against the unpruned oracles, near the families named from degrees."""
+def assert_dims_agree_with_plain(graphs) -> None:
+    """Both dimensions of each graph, each rim and each deletion against the unpruned oracles."""
     homotopy.clear_caches()
-    for g in [*connected_graphs(7), *near_miss_graphs()]:
+    for g in graphs:
         verts, nbr = g.bitsets()
         for mask in whole_rims_and_deletions(nbr):
             h = from_masks(verts, nbr, mask)
             expected = (plain_sphere_dim(h), plain_manifold_dim(h))
             assert manifold._dims(nbr, mask) == expected, (g.sorted_edges(), h.sorted_vertices())
+
+
+def test_dims_agree_with_plain_recognition_on_graphs_their_rims_and_deletions():
+    """Near the families named from degrees."""
+    assert_dims_agree_with_plain([*connected_graphs(7), *near_miss_graphs()])
 
 
 def test_sphere_dimension_agrees_with_plain_recognition():
@@ -301,23 +314,22 @@ def test_sphere_dimension_agrees_with_plain_recognition():
 
 
 def test_dims_agree_with_plain_recognition_on_non_sphere_manifolds():
-    """Each graph, each rim and each deletion, with and without symmetry.
-
-    On a whole graph the plain sphere oracle would search every deletion
-    exhaustively, which takes minutes at 24 points.  Its verdict is None
-    all the same, since no deletion has a point's plain Betti numbers, so
-    none is contractible; the oracle checks the rims and the deletions.
-    """
-    homotopy.clear_caches()
+    """With and without symmetry.  The plain sphere oracle rejects each
+    deletion of a whole graph by its Betti numbers; searching them all
+    instead would take minutes at 24 points."""
     for g in non_sphere_manifolds():
-        verts, nbr = g.bitsets()
-        whole, *parts = whole_rims_and_deletions(nbr)
-        assert all(plain_betti(g.remove((v,))) != [1] for v in verts), g.sorted_edges()
-        assert manifold._dims(nbr, whole) == (None, plain_manifold_dim(g)) == (None, 2)
-        for mask in parts:
-            h = from_masks(verts, nbr, mask)
-            expected = (plain_sphere_dim(h), plain_manifold_dim(h))
-            assert manifold._dims(nbr, mask) == expected, (g.sorted_edges(), h.sorted_vertices())
+        _, nbr = g.bitsets()
+        assert manifold._dims(nbr, (1 << len(nbr)) - 1) == (None, 2)
+    assert_dims_agree_with_plain(non_sphere_manifolds())
+
+
+def test_dims_agree_with_plain_recognition_on_suspensions():
+    """Each suspension within the size cap of a non-sphere manifold or a near
+    miss: where sphere recognition deletes a pole first."""
+    graphs = [suspend(g) for g in (*non_sphere_manifolds(), *near_miss_graphs())
+              if g.vertex_count + 2 <= SIZE_CAP]
+    assert len(graphs) == 125
+    assert_dims_agree_with_plain(graphs)
 
 
 def record_cliques(monkeypatch) -> list[int]:
@@ -332,8 +344,9 @@ def test_recognize_pass_makes_a_pinned_number_of_searches_and_clique_enumeration
     """Canonical searches and clique enumerations in one cold seed-0 pass of the
     benchmark's `recognize` workload.
 
-    While sphere recognition ran a homology guard on the whole graph, the same
-    80 searches came with 92 enumerations.
+    While sphere recognition ran a homology guard on the whole graph, 80
+    searches came with 92 enumerations.  Before it deleted the poles first,
+    they came with 80.
     """
     monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "bench"))
     from workloads import Recognize
@@ -344,7 +357,7 @@ def test_recognize_pass_makes_a_pinned_number_of_searches_and_clique_enumeration
             item.check(item.run())
     finally:
         homotopy.clear_caches()
-    assert (len(searches), len(cliques)) == (80, 80)
+    assert (len(searches), len(cliques)) == (57, 58)
 
 
 def test_sphere_recognition_enumerates_no_clique_on_the_whole_graph(monkeypatch):

@@ -18,6 +18,10 @@ The script reruns itself under PYTHONHASHSEED=0 and prints one
 - `labellings`: the order of `canonical_labelling` of each of those
   graphs, as labels, which `propose_isomorphism` and `digitop verify`
   rely on;
+- `large forms`: the form and the label order of `canonical_labelling`
+  of the cycle C100 and the 10x10 torus (`bench/workloads.py`), 50
+  disjoint 5-cycles, 100 isolated points and the raw model of
+  `sphere:0.23,0.31,0.17,3` digitized at edge length 0.5;
 - `reports`: `format_report` of every `all_graphs(6)` graph, of each
   gallery graph and its suspension, and of the complete graphs K2-K14,
   which pins the Betti ranks on disconnected and high-dimensional
@@ -131,6 +135,16 @@ def main() -> None:
         _, order = canonical_labelling(nbr, (1 << len(verts)) - 1)
         orders.append(" ".join(verts[i] for i in order) + "\n")
     print(f"labellings: {digest(''.join(orders))}")
+    pentagons = [[f"q{i}_{j}" for j in range(5)] for i in range(50)]
+    large = [build(cycle(100)), build(torus(10, 10)), digitop.Graph([f"p{i}" for i in range(100)])]
+    large.append(digitop.Graph(sum(pentagons, []), [(c[j], c[j - 1]) for c in pentagons for j in range(5)]))
+    large.append(digitop.digitize(digitop.parse_shape("sphere:0.23,0.31,0.17,3"), 0.5).graph)
+    texts = []
+    for g in large:
+        verts, nbr = g.bitsets()
+        form, order = canonical_labelling(nbr, (1 << len(verts)) - 1)
+        texts.append(f"{form.hex()} {' '.join(verts[i] for i in order)}\n")
+    print(f"large forms: {digest(''.join(texts))}")
     named = [digitop.gallery(name) for name in digitop.gallery_names()]
     complete = [[f"k{i}" for i in range(n)] for n in range(2, 15)]
     graphs = [*all_graphs(6), *named, *map(suspend, named)]
