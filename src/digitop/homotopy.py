@@ -39,7 +39,12 @@ Verdicts are memoized process-wide in one table shared with `manifold`,
 keyed by question and the canonical form of the node's mask.  They are
 isomorphism-invariant and the table is append-only, so sharing it across
 queries is sound; it is what makes repeated negative searches
-affordable.  `clear_caches()` empties it.
+affordable.  `clear_caches()` empties it.  In front of it, each public
+call passes down a mask -> verdict memo that `_contractible` reads
+before any guard or form.  A verdict depends only on the induced
+subgraph, fixed while `nbr` is, so it is exact; replay starts a new memo
+after each `de` step.  It keeps only verdicts that cost a guard run or a
+form, so it is no larger than those, and it dies with the call.
 """
 
 from __future__ import annotations
@@ -88,11 +93,14 @@ def _entry(g: Graph, size_cap: int) -> tuple[list[str], list[int], int]:
 def is_contractible(g: Graph, *, size_cap: int = SIZE_CAP) -> bool:
     """True iff some sequence of simple point deletions reaches a single vertex."""
     _, nbr, whole = _entry(g, size_cap)
-    return _contractible(nbr, whole)
+    return _contractible(nbr, whole, {})
 
 
-def _contractible(nbr: list[int], mask: int, *, guard: bool = True) -> bool:
+def _contractible(nbr: list[int], mask: int, memo: dict[int, bool], *, guard: bool = True) -> bool:
     """The search on mask; `guard=False` when it shares the homology of a graph that passed the guard."""
+    hit = memo.get(mask)
+    if hit is not None:
+        return hit
     if mask & (mask - 1) == 0:  # at most one point
         return mask != 0
     if any(nbr[i] & mask == mask ^ (1 << i) for i in bits(mask)):
@@ -102,25 +110,28 @@ def _contractible(nbr: list[int], mask: int, *, guard: bool = True) -> bool:
     if guard:
         acyclic = _acyclic(nbr, mask, GUARD_CLIQUES)
         if acyclic is False:
+            memo[mask] = False
             return False
         guard = acyclic is None
     key = ("contractible", canonical_form(nbr, mask))
     hit = _VERDICTS.get(key)
-    if hit is not None:
-        return hit
-    result = _VERDICTS[key] = _deletion(nbr, mask, guard) is not None
-    return result
+    if hit is None:
+        hit = _VERDICTS[key] = _deletion(nbr, mask, guard, memo) is not None
+    memo[mask] = hit
+    return hit
 
 
-def _deletion(nbr: list[int], mask: int, guard: bool) -> int | None:
+def _deletion(nbr: list[int], mask: int, guard: bool, memo: dict[int, bool]) -> int | None:
     """The smallest point of mask whose rim and whose deletion are contractible, or None."""
     for i in bits(mask):
-        if _contractible(nbr, nbr[i] & mask) and _contractible(nbr, mask ^ (1 << i), guard=guard):
+        if _contractible(nbr, nbr[i] & mask, memo) and _contractible(nbr, mask ^ (1 << i), memo, guard=guard):
             return i
     return None
 
 
-def _simple(at: dict[str, int], nbr: list[int], mask: int, labels: tuple, size_cap: int) -> bool:
+def _simple(
+    at: dict[str, int], nbr: list[int], mask: int, labels: tuple, size_cap: int, memo: dict[int, bool]
+) -> bool:
     """Whether the rim on mask of a point (one label) or an edge (two) is contractible."""
     rim = mask
     for v in labels:  # each label lies in the rim of those before it
@@ -130,17 +141,17 @@ def _simple(at: dict[str, int], nbr: list[int], mask: int, labels: tuple, size_c
             raise DomainError(absent % tuple(labels))
         rim &= nbr[i]
     _check_cap(rim.bit_count(), size_cap)
-    return _contractible(nbr, rim)
+    return _contractible(nbr, rim, memo)
 
 
 def is_simple_point(g: Graph, v: str, *, size_cap: int = SIZE_CAP) -> bool:
     """True iff the rim of v is contractible, so deleting v preserves homotopy."""
-    return _simple(g._at, g._nbr, (1 << g.vertex_count) - 1, (v,), size_cap)
+    return _simple(g._at, g._nbr, (1 << g.vertex_count) - 1, (v,), size_cap, {})
 
 
 def is_simple_edge(g: Graph, u: str, v: str, *, size_cap: int = SIZE_CAP) -> bool:
     """True iff the joint rim of the edge (u, v) is contractible."""
-    return _simple(g._at, g._nbr, (1 << g.vertex_count) - 1, (u, v), size_cap)
+    return _simple(g._at, g._nbr, (1 << g.vertex_count) - 1, (u, v), size_cap, {})
 
 
 # -- certificates ----------------------------------------------------------
@@ -175,9 +186,9 @@ class ReductionCertificate:
     steps: tuple[CertStep, ...]
 
     def replay(self, g: Graph, *, size_cap: int = SIZE_CAP) -> Graph:
-        index, nbr, mask = g._at, list(g._nbr), (1 << g.vertex_count) - 1  # 'de' steps edit nbr
+        index, nbr, mask, memo = g._at, list(g._nbr), (1 << g.vertex_count) - 1, {}  # 'de' steps edit nbr
         for step in self.steps:
-            if not _simple(index, nbr, mask, step.labels, size_cap):
+            if not _simple(index, nbr, mask, step.labels, size_cap, memo):
                 what = " ".join(["point" if step.kind == "dp" else "edge", *map(repr, step.labels)])
                 raise DomainError(f"certificate step deletes non-simple {what}")
             if step.kind == "dp":
@@ -185,6 +196,7 @@ class ReductionCertificate:
             else:
                 i, j = map(index.get, step.labels)
                 nbr[i], nbr[j] = nbr[i] ^ 1 << j, nbr[j] ^ 1 << i
+                memo = {}  # a mask's verdict holds only while nbr is unchanged
         return from_masks(g._labels, nbr, mask)
 
 
@@ -217,11 +229,12 @@ def contractibility_certificate(g: Graph, *, size_cap: int = SIZE_CAP) -> Reduct
     equal inputs give equal certificates.
     """
     verts, nbr, mask = _entry(g, size_cap)
-    if not _contractible(nbr, mask):
+    memo: dict[int, bool] = {}
+    if not _contractible(nbr, mask, memo):
         return None
     order: list[str] = []
     while mask & (mask - 1):
-        i = _deletion(nbr, mask, False)
+        i = _deletion(nbr, mask, False, memo)
         if i is None:
             raise AssertionError("no simple point leaves a contractible graph")
         order.append(verts[i])
@@ -240,26 +253,28 @@ def reduce_to_subgraph(
     target's, which is a point's.
     """
     verts, nbr, whole = _entry(g, size_cap)
-    goal = mask_of(g, keep)
-    if not _contractible(nbr, goal):
+    goal, memo = mask_of(g, keep), {}
+    if not _contractible(nbr, goal, memo):
         raise DomainError("target subgraph is not contractible")
     if _acyclic(nbr, whole, GUARD_CLIQUES) is False:
         return None
-    order = _reduce(nbr, verts, goal, set(), whole)
+    order = _reduce(nbr, verts, goal, set(), whole, memo)
     if order is None:
         return None
     return ReductionCertificate(tuple(CertStep("dp", (v,)) for v in order))
 
 
-def _reduce(nbr: list[int], verts: list[str], goal: int, dead: set[int], mask: int) -> list[str] | None:
+def _reduce(
+    nbr: list[int], verts: list[str], goal: int, dead: set[int], mask: int, memo: dict[int, bool]
+) -> list[str] | None:
     """Simple points whose deletion in turn takes mask to goal, or None; `dead` holds masks with none."""
     if mask == goal:
         return []
     if mask in dead:
         return None
     for i in bits(mask & ~goal):
-        if _contractible(nbr, nbr[i] & mask):
-            rest = _reduce(nbr, verts, goal, dead, mask ^ (1 << i))
+        if _contractible(nbr, nbr[i] & mask, memo):
+            rest = _reduce(nbr, verts, goal, dead, mask ^ (1 << i), memo)
             if rest is not None:
                 return [verts[i]] + rest
     dead.add(mask)

@@ -96,7 +96,7 @@ def _dims(nbr: list[int], mask: int) -> tuple[int | None, int | None]:
             miss = mask & ~nbr[j] ^ 1 << j
             poles |= miss if miss & (miss - 1) == 0 else 0
         order = bits(reps & poles) + bits(reps & ~poles)
-        sphere = m is not None and any(_contractible(nbr, mask ^ 1 << i) for i in order)
+        sphere = m is not None and any(_contractible(nbr, mask ^ 1 << i, {}) for i in order)
         _VERDICTS[key] = (m if sphere else None), m
     return _VERDICTS[key]
 
@@ -173,7 +173,7 @@ def _disk_dim(nbr: list[int], mask: int, boundary: int) -> int | None:
     k = _sphere_dim(nbr, boundary)
     if k is None:
         return None
-    if not _contractible(nbr, mask):
+    if not _contractible(nbr, mask, {}):
         return None
     for i in bits(mask & ~boundary):
         if _sphere_dim(nbr, nbr[i] & mask) != k:
@@ -215,9 +215,9 @@ def sphere_by_complement(m: Graph, sub, *, size_cap: int = SIZE_CAP) -> bool:
     if _manifold_dim(nbr, whole, whole) is None:
         raise DomainError("sphere_by_complement requires a digital manifold")
     sub = mask_of(m, sub)
-    if not _contractible(nbr, sub):
+    if not _contractible(nbr, sub, {}):
         raise DomainError("removed subspace must induce a contractible subgraph")
-    return _contractible(nbr, whole ^ sub)
+    return _contractible(nbr, whole ^ sub, {})
 
 
 # -- classification --------------------------------------------------------
@@ -260,7 +260,7 @@ def classify(g: Graph, *, size_cap: int = SIZE_CAP, auto_compress: bool = True) 
         return Classification("sphere", d, compressed_from=compressed_from)
     if m is not None:
         return Classification("manifold", m, compressed_from=compressed_from)
-    if whole and _contractible(nbr, whole):
+    if whole and _contractible(nbr, whole, {}):
         candidates = sum(1 << i for i in bits(whole) if _sphere_dim(nbr, nbr[i]) is None)
         dd = _disk_dim(nbr, whole, candidates)
         if dd is not None and dd >= 1:

@@ -21,6 +21,7 @@ large forms: 427261e95943606a
 reports: 08d98ccbae8b73ed
 verdicts: c474ef17661a1e43
 dims: 15a5e63cc379cb54
+certificates: 2cf3b92a77a934f9
 cli: b62c6ca4d4fdfe3b
 """
 

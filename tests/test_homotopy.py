@@ -15,7 +15,7 @@ from corpus import (
     plain_replay,
     plain_sphere_dim,
 )
-from digitop import canon, homotopy
+from digitop import canon, homotopy, invariants
 from digitop.errors import CapacityError, DomainError
 from digitop.graph import Graph
 from digitop.homotopy import (
@@ -330,23 +330,37 @@ def test_random_graphs_up_to_the_cap_finish():
     assert time.perf_counter() - start < 20.0
 
 
-def test_search_pass_makes_a_pinned_number_of_canonical_searches(monkeypatch):
-    """Canonical searches in one cold seed-0 pass of the benchmark's `search` workload.
-
-    Each yes-instance is searched, then given a certificate, whose walk
-    branches on the search's own rule; 160 of the 230 searches are the walk's.
-    """
+def search_pass(monkeypatch) -> list:
+    """The items of one cold seed-0 pass of the benchmark's `search` workload."""
     monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "bench"))
-    import digitop
     from workloads import Search
 
-    counts = {False: 0, True: 0}  # inside a certificate -> canonical searches
-    inside = [False]
-    search, certificate = canon._search, digitop.contractibility_certificate
+    return Search(0).prepare_pass(0)
+
+
+def test_search_pass_makes_a_pinned_number_of_canonical_searches(monkeypatch):
+    """Canonical searches and guard clique enumerations in one cold seed-0 `search` pass.
+
+    Each yes-instance is searched, then given a certificate, whose walk
+    branches on the search's own rule; 98 of the 168 searches are the
+    walk's.  Each public call keeps a mask -> verdict memo, so no call
+    forms a mask twice; before it the pass made 230 searches, 160 of them
+    the walk's, and 251 guard enumerations.
+    """
+    import digitop
+
+    # inside a certificate -> canonical searches, and "guard" -> the items' clique enumerations
+    counts = {False: 0, True: 0, "guard": 0}
+    inside, running = [False], [False]
+    search, cliques, certificate = canon._search, invariants._clique_lists, digitop.contractibility_certificate
 
     def counted_search(nbr, mask):
         counts[inside[0]] += 1
         return search(nbr, mask)
+
+    def counted_cliques(nbr, mask, budget):
+        counts["guard"] += running[0]  # each item's check enumerates cliques too
+        return cliques(nbr, mask, budget)
 
     def counted_certificate(g):
         inside[0] = True
@@ -356,10 +370,87 @@ def test_search_pass_makes_a_pinned_number_of_canonical_searches(monkeypatch):
             inside[0] = False
 
     monkeypatch.setattr(canon, "_search", counted_search)
+    monkeypatch.setattr(invariants, "_clique_lists", counted_cliques)
     monkeypatch.setattr(digitop, "contractibility_certificate", counted_certificate)
     try:
-        for item in Search(0).prepare_pass(0):
-            item.check(item.run())
+        for item in search_pass(monkeypatch):
+            running[0] = True
+            out = item.run()
+            running[0] = False
+            item.check(out)
     finally:
         homotopy.clear_caches()
-    assert (counts[False] + counts[True], counts[True]) == (230, 160)
+    assert (counts[False] + counts[True], counts[True], counts["guard"]) == (168, 98, 225)
+
+
+def test_no_mask_is_formed_twice_within_one_call(monkeypatch):
+    """Within one public call, each mask gets at most one canonical form and one clique enumeration.
+
+    Checked over a cold seed-0 `search` pass and over `random_family()`,
+    where each contractible graph is also reduced to its smallest label.
+    """
+    import digitop
+
+    seen: list[set] = []  # one set per open public call
+    done, repeats = {"form": 0, "cliques": 0}, []
+
+    def watched(what, fn):
+        def wrapper(nbr, mask, *rest):
+            if seen:
+                key = (what, id(nbr), mask)
+                if key in seen[-1]:
+                    repeats.append(key)
+                seen[-1].add(key)
+                done[what] += 1
+            return fn(nbr, mask, *rest)
+
+        return wrapper
+
+    def public(fn):
+        def wrapper(*args, **kwargs):
+            seen.append(set())
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                seen.pop()
+
+        return wrapper
+
+    monkeypatch.setattr(canon, "_search", watched("form", canon._search))
+    monkeypatch.setattr(invariants, "_clique_lists", watched("cliques", invariants._clique_lists))
+    for name in ("is_contractible", "contractibility_certificate", "reduce_to_subgraph"):
+        monkeypatch.setattr(digitop, name, public(getattr(homotopy, name)))
+    try:
+        for item in search_pass(monkeypatch):
+            item.check(item.run())
+        homotopy.clear_caches()
+        for g in random_family():
+            if digitop.is_contractible(g):
+                assert digitop.contractibility_certificate(g) is not None
+                digitop.reduce_to_subgraph(g, {g.sorted_vertices()[0]})
+    finally:
+        homotopy.clear_caches()
+    assert done["form"] >= 100 and done["cliques"] >= 100, done
+    assert repeats == []
+
+
+def test_a_verdict_never_survives_an_edge_deletion():
+    """Replay forgets every mask's verdict at a `de` step, which changes the induced subgraphs.
+
+    In each graph, a and b see all of a ring R and not each other.  The
+    first R, a 4-cycle with the chord p-r, is a cone, so its verdict is
+    never stored.  The second, a hexagon triangulated around the triangle
+    h0-h2-h4, is a disk with no apex, so replay stores its verdict when it
+    deletes a; deleting the edge h0-h2 leaves a ring with a hole, and b is
+    no longer simple.  A verdict kept across the `de` step would accept b.
+    """
+    ring = Graph("pqrs", [("p", "q"), ("q", "r"), ("r", "s"), ("s", "p"), ("p", "r")])
+    hexagon = cycle(6, "h")
+    disk = Graph(hexagon.vertices, [*hexagon.edges, ("h0", "h2"), ("h2", "h4"), ("h4", "h0")])
+    for r, (x, y) in ((ring, ("p", "r")), (disk, ("h0", "h2"))):
+        assert is_contractible(r) and not is_contractible(r.without_edge(x, y))
+        g = r.join(Graph("ab", ()))
+        forged = parse_certificate(f"dp a\nde {x} {y}\ndp b\n")
+        with pytest.raises(DomainError, match="^certificate step deletes non-simple point 'b'$"):
+            forged.replay(g)
+        assert parse_certificate("dp a\ndp b\n").replay(g) == r

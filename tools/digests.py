@@ -35,6 +35,10 @@ The script reruns itself under PYTHONHASHSEED=0 and prints one
 - `dims`: the sphere and the manifold dimension that `manifold._dims`
   gives each of `tests/corpus.py`'s `near_miss_graphs()`, each of its
   rims and each of its one-point deletions;
+- `certificates`: `format_certificate` of `contractibility_certificate`,
+  or `none`, of every `search` workload graph (`bench/workloads.py`) at
+  seeds 0-9, then of `reduce_to_subgraph(g, {v})` for every contractible
+  graph g of `connected_graphs(6)`, with v its smallest label;
 - `cli`: the exit code and stdout of each invocation in `CLI_RUNS`, run
   through `cli.run` in an empty temporary directory on gallery graphs
   written there, then every file they wrote with `-o` and `--log`.  Help
@@ -105,12 +109,14 @@ def main() -> None:
     for sub in ("src", "tests", "bench"):
         sys.path.insert(0, str(ROOT / sub))
     import digitop
-    from corpus import all_graphs, near_miss_graphs, non_sphere_manifolds, whole_rims_and_deletions
+    from corpus import (
+        all_graphs, connected_graphs, near_miss_graphs, non_sphere_manifolds, whole_rims_and_deletions
+    )
     from digitop.canon import canonical_labelling
     from digitop.cli import run
     from digitop.homotopy import SIZE_CAP
     from digitop.manifold import _dims, minimal_sphere, suspend
-    from workloads import Pipeline, build, cycle, torus
+    from workloads import Pipeline, Search, build, cycle, torus
 
     print(f"verify: {digest(run(['verify']).stdout)}")
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
@@ -163,6 +169,12 @@ def main() -> None:
         _, nbr = g.bitsets()
         texts += [f"{_dims(nbr, mask)}\n" for mask in whole_rims_and_deletions(nbr)]
     print(f"dims: {digest(''.join(texts))}")
+    certs = [digitop.contractibility_certificate(build(s)) for seed in range(10) for s in Search(seed).inputs]
+    for g in connected_graphs(6):
+        if digitop.is_contractible(g):
+            certs.append(digitop.reduce_to_subgraph(g, {g.sorted_vertices()[0]}))
+    texts = [("none\n" if cert is None else digitop.format_certificate(cert)) + "\n" for cert in certs]
+    print(f"certificates: {digest(''.join(texts))}")
     texts = []
     with tempfile.TemporaryDirectory() as tmp:
         os.chdir(tmp)
