@@ -22,13 +22,10 @@ On a verdict-table miss, sphere recognition checks the rim and tries
 the deletion of one point per orbit that the canonical search reports.
 That is exact: an automorphism s maps rim(v) onto rim(s(v)) and g - v
 onto g - s(v), so both verdicts are constant on the orbits of any group
-of automorphisms.  It deletes first the poles, the points that some
-other point alone misses: what is left is a cone on that other point,
-which `homotopy` calls contractible at once.  The verdict is `any` over
-the same points, so the order changes only the work.  The public
-manifold and disk checks visit every point.
+of automorphisms.  The public manifold and disk checks visit every
+point.
 
-Before any search, three families are named from the degrees inside the
+Before any search, four families are named from the degrees inside the
 mask.  (1) When each of n >= 2 points misses just one other, the graph
 is `minimal_sphere(n/2 - 1)`: its rims are the minimal sphere one lower
 and its deletions are cones, so it is a sphere, and from dimension 1 a
@@ -36,7 +33,21 @@ manifold.  (2) Else at most two points, or a cone, is neither: in a cone
 every other point's rim is a smaller cone on the same apex, and a point
 and an edge are no spheres.  (3) A connected 2-regular graph on five or
 more points is a cycle: its rims are 0-spheres and deleting a point
-leaves a path.  None of these verdicts is stored in the table.
+leaves a path.  (4) When two non-adjacent points p and q each see all
+n - 2 others, the graph is the suspension of X = rim(p), and it is a
+(k+1)-sphere and a (k+1)-manifold when X is a k-sphere, and neither
+otherwise; one recursive call on X decides it.  If X is no sphere, the
+rim of p is none, so the graph is neither.  If X is a k-sphere, the
+rims of p and q are X, and each other point's rim is {p, q} joined with
+its (k-1)-sphere rim in X, a smaller suspension and so a k-sphere;
+deleting p leaves a cone on q.  None of these verdicts is stored in the
+table.  Rule (4) also leaves the search no deletion that is a cone.
+Where every rim is a (k-1)-sphere and a point j misses only i, rim(i) is
+a (k-1)-sphere inside the (k-1)-sphere rim(j) = g - i - j, and a sphere
+holds no other induced sphere of its own dimension: by induction each
+point's rim in the smaller one is its whole rim, so the smaller one is
+closed under neighbours.  So i sees all n - 2 others too, and (4) has
+decided g.
 
 Recognition recurses on vertex masks, as in `homotopy`.  The sphere and
 the manifold dimension are memoized together in homotopy's verdict
@@ -78,7 +89,9 @@ def _sphere_dim(nbr: list[int], mask: int) -> int | None:
 def _dims(nbr: list[int], mask: int) -> tuple[int | None, int | None]:
     """The sphere and the manifold dimension of the subgraph on mask, each None if it is none."""
     n = mask.bit_count()
-    degrees = {(nbr[i] & mask).bit_count() for i in bits(mask)}
+    points = bits(mask)
+    degree = [(nbr[i] & mask).bit_count() for i in points]
+    degrees = set(degree)
     if n >= 2 and degrees == {n - 2}:
         k = n // 2 - 1
         return k, k or None
@@ -86,17 +99,18 @@ def _dims(nbr: list[int], mask: int) -> tuple[int | None, int | None]:
         return None, None
     if degrees == {2}:
         return 1, 1
+    tops = sum(1 << i for i, d in zip(points, degree) if d == n - 2)
+    for i in bits(tops):
+        pole = tops & ~nbr[i] ^ 1 << i
+        if pole:
+            k = _dims(nbr, mask ^ 1 << i ^ pole)[0]
+            return (None, None) if k is None else (k + 1, k + 1)
     form, _, orbits = _search(nbr, mask)
     key = ("dims", form)
     if key not in _VERDICTS:
         reps = orbits()
         m = _manifold_dim(nbr, mask, reps)
-        poles = 0
-        for j in bits(mask) if m is not None else ():
-            miss = mask & ~nbr[j] ^ 1 << j
-            poles |= miss if miss & (miss - 1) == 0 else 0
-        order = bits(reps & poles) + bits(reps & ~poles)
-        sphere = m is not None and any(_contractible(nbr, mask ^ 1 << i, {}) for i in order)
+        sphere = m is not None and any(_contractible(nbr, mask ^ 1 << i, {}) for i in bits(reps))
         _VERDICTS[key] = (m if sphere else None), m
     return _VERDICTS[key]
 

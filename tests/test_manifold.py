@@ -190,14 +190,16 @@ def test_sphere_deletion_condition_matters():
 
 
 def test_clear_caches_resets_sphere_verdicts(monkeypatch):
+    """On a sphere that recognition searches: not a minimal sphere, nor a
+    suspension, which is decided from its poles' rim (S C5 was used before)."""
     assert manifold.clear_caches is homotopy.clear_caches
-    g = suspend(cycle(5))  # a sphere that recognition searches, unlike a minimal one
-    assert sphere_dimension(g) == 2
+    g = cycle(5, "a").join(cycle(5, "b"))
+    assert sphere_dimension(g) == 3
     homotopy.clear_caches()
     calls = []
     real = manifold._sphere_dim
     monkeypatch.setattr(manifold, "_sphere_dim", lambda nbr, mask: calls.append(mask) or real(nbr, mask))
-    assert sphere_dimension(g) == 2
+    assert sphere_dimension(g) == 3
     assert len(calls) > 1  # recomputed through the rims, not read back from a cache
 
 
@@ -259,32 +261,44 @@ def test_sphere_recognition_searches_one_point_per_orbit(monkeypatch):
     Before minimal spheres and cycles were named from their degrees,
     these took 13 and 27.  Before the poles were deleted first, SS C11
     took 16 and S⁹ C5 18: each deleted a cycle point, whose deletion is
-    no cone, and searched it.
+    no cone, and searched it.  Before a suspension was decided from its
+    poles' rim, C5∗C5∗C5 took 8, searching its rim S(C5∗C5) and that
+    rim's rims S C5, SS C11 took 2 and S⁹ C5 9.
     """
     masks = record_searches(monkeypatch)
     homotopy.clear_caches()
     assert sphere_dimension(cycle(5, "a").join(cycle(5, "b")).join(cycle(5, "c"))) == 5
-    assert len(masks) == 8
+    assert len(masks) == 4
     masks.clear()
     homotopy.clear_caches()
     assert classify(suspend(suspend(cycle(11)))).describe() == "sphere dim=3"
-    assert len(masks) == 2
+    assert len(masks) == 0
     masks.clear()
     homotopy.clear_caches()
     g = cycle(5)
     for _ in range(9):
         g = suspend(g)
     assert sphere_dimension(g) == 10
-    assert len(masks) == 9
+    assert len(masks) == 0
 
 
 def test_minimal_spheres_cycles_and_their_cones_need_no_search(monkeypatch):
     apex = Graph(["apex"])
     spheres = [minimal_sphere(n) for n in range(10)] + [cycle(n) for n in range(5, 15)]
+    dims = [*range(10)] + [1] * 10
     masks = record_searches(monkeypatch)
     homotopy.clear_caches()
-    assert [sphere_dimension(g) for g in spheres] == [*range(10)] + [1] * 10
+    assert [sphere_dimension(g) for g in spheres] == dims
     assert [sphere_dimension(g.join(apex)) for g in spheres] == [None] * 20
+    for _ in range(3):
+        kept = [(suspend(g), d + 1) for g, d in zip(spheres, dims) if g.vertex_count + 2 <= SIZE_CAP]
+        spheres, dims = [g for g, _ in kept], [d for _, d in kept]
+        assert [sphere_dimension(g) for g in spheres] == dims
+        assert [manifold_dimension(g) for g in spheres] == dims
+    assert len(spheres) == 19  # up to S³ of the minimal 8-sphere and of C14
+    path = Graph("abc", [("a", "b"), ("b", "c")])
+    for g in (suspend(path), suspend(suspend(cycle(5).join(apex)))):
+        assert (sphere_dimension(g), manifold_dimension(g)) == (None, None)
     assert masks == []
 
 
@@ -325,11 +339,27 @@ def test_dims_agree_with_plain_recognition_on_non_sphere_manifolds():
 
 def test_dims_agree_with_plain_recognition_on_suspensions():
     """Each suspension within the size cap of a non-sphere manifold or a near
-    miss: where sphere recognition deletes a pole first."""
+    miss: where sphere recognition decides the graph from its poles' rim."""
     graphs = [suspend(g) for g in (*non_sphere_manifolds(), *near_miss_graphs())
               if g.vertex_count + 2 <= SIZE_CAP]
     assert len(graphs) == 125
     assert_dims_agree_with_plain(graphs)
+
+
+def test_dims_agree_with_plain_recognition_on_double_suspensions():
+    """Each double suspension of a near miss of at most 12 points: the pole rule
+    recurses into a second pole pair, and ends both on spheres and on non-spheres."""
+    graphs = [suspend(suspend(g)) for g in near_miss_graphs() if g.vertex_count <= 12]
+    assert len(graphs) == 90
+    assert_dims_agree_with_plain(graphs)
+
+
+def test_suspended_gallery_non_spheres_keep_their_verdicts():
+    """The suspension of a non-sphere is no sphere or manifold; classify then
+    finds a disk or nothing, as the benchmark's `SUSPENSION_VERDICTS` pins."""
+    expected = {"disk1": "disk dim=2", "disk2": "disk dim=3", "torus16": "other", "projective11": "other"}
+    homotopy.clear_caches()
+    assert {name: classify(suspend(gallery(name))).describe() for name in expected} == expected
 
 
 def record_cliques(monkeypatch) -> list[int]:
@@ -346,7 +376,8 @@ def test_recognize_pass_makes_a_pinned_number_of_searches_and_clique_enumeration
 
     While sphere recognition ran a homology guard on the whole graph, 80
     searches came with 92 enumerations.  Before it deleted the poles first,
-    they came with 80.
+    they came with 80.  Before a suspension was decided from its poles'
+    rim, 57 searches came with 58.
     """
     monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "bench"))
     from workloads import Recognize
@@ -357,7 +388,7 @@ def test_recognize_pass_makes_a_pinned_number_of_searches_and_clique_enumeration
             item.check(item.run())
     finally:
         homotopy.clear_caches()
-    assert (len(searches), len(cliques)) == (57, 58)
+    assert (len(searches), len(cliques)) == (29, 58)
 
 
 def test_sphere_recognition_enumerates_no_clique_on_the_whole_graph(monkeypatch):
